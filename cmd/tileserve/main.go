@@ -58,14 +58,16 @@ func run() error {
 		concurrency: *concFlag, queueDepth: *queueFlag, queueWait: *qwaitFlag,
 		reqTimeout: *rtoFlag, cacheBound: *cacheFlag,
 	}
+	// Install the signal handler before announcing the address: a SIGTERM
+	// sent as soon as "listening on" appears must drain, not kill.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
 	srv := newServer(cfg)
 	if err := srv.start(*addrFlag); err != nil {
 		return err
 	}
 	fmt.Printf("tileserve: listening on %s\n", srv.addr)
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
 	<-ctx.Done()
 	stop() // restore default signal handling: a second signal kills us
 

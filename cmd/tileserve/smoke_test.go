@@ -164,3 +164,43 @@ func TestServeSmoke(t *testing.T) {
 		t.Errorf("drain messages missing from child output:\n%s", rest.String())
 	}
 }
+
+// TestEarlySIGTERMDrains sends SIGTERM the moment the child announces its
+// address. The signal handler must already be installed by then, so the
+// child drains and exits 0 instead of dying by the signal.
+func TestEarlySIGTERMDrains(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a process")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-addr", "127.0.0.1:0")
+	cmd.Env = append(os.Environ(), "TILESERVE_CHILD=1")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+
+	sc := bufio.NewScanner(stdout)
+	if !sc.Scan() || !strings.HasPrefix(sc.Text(), "tileserve: listening on ") {
+		t.Fatalf("child did not announce its address: %q %v", sc.Text(), sc.Err())
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	var rest strings.Builder
+	for sc.Scan() {
+		fmt.Fprintln(&rest, sc.Text())
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("child did not exit cleanly after an immediate SIGTERM: %v", err)
+	}
+	if !strings.Contains(rest.String(), "tileserve: drained") {
+		t.Errorf("drain message missing from child output:\n%s", rest.String())
+	}
+}

@@ -21,9 +21,9 @@ type builder struct {
 	cfg    Config
 	eng    *simnet.Engine
 	nodes  []node
-	bus    *simnet.Resource // the single medium in SharedBus mode
-	fabric *simnet.Fabric   // hierarchical links, nil when Interconnect is flat
-	hops   []simnet.Hop     // reusable route buffer (wire() is serial)
+	bus    simnet.ResID   // the single medium in SharedBus mode
+	fabric *simnet.Fabric // hierarchical links, nil when Interconnect is flat
+	hops   []simnet.Hop   // reusable route buffer (wire() is serial)
 	trace  bool
 	// fp is the active fault plan, nil when Config.Fault is absent or has
 	// zero intensity — the fault-free build path stays byte-identical.
@@ -40,8 +40,9 @@ type builder struct {
 	// messages it produces. Bucket capacity is deps.Len() each.
 	inbox  [][]*message
 	outbox [][]*message
-	// computeActs[tileRank] is the A2 activity of each tile.
-	computeActs []*simnet.Activity
+	// computeActs[tileRank] is the A2 activity of each tile (0 until
+	// emitted).
+	computeActs []simnet.ActID
 	msgs        msgArena
 	// pending holds consumption edges whose producing message had not been
 	// issued yet at construction time.
@@ -144,7 +145,7 @@ func (b *builder) build() error {
 		acts += b.numTiles + 2*b.fp.MaxResend*b.numMsgs
 		edges += b.numTiles + 2*b.fp.MaxResend*b.numMsgs
 	}
-	b.eng.Reserve(acts, edges)
+	b.eng.Reserve(0, acts, edges)
 	switch b.cfg.Mode {
 	case Blocking:
 		b.buildBlocking()
@@ -157,10 +158,21 @@ func (b *builder) build() error {
 // makeNodes creates the per-processor resources according to the hardware
 // capability, plus the hierarchical fabric's link resources when the
 // interconnect is not flat. Resource names are only rendered when tracing;
-// the engine identifies resources by pointer.
+// the engine identifies resources by handle.
 func (b *builder) makeNodes() error {
 	n := b.cfg.Topo.Map.NumProcs()
 	b.numProcs = n
+	// Reserve every resource up front: per node a CPU plus one half-duplex
+	// channel or an rx/tx pair, then the shared bus and the fabric links.
+	perNode := 2
+	if b.cfg.Cap == CapFullDuplex {
+		perNode = 3
+	}
+	res := perNode*int(n) + simnet.FabricLinks(b.cfg.Interconnect, n)
+	if b.cfg.Network == SharedBus {
+		res++
+	}
+	b.eng.Reserve(res, 0, 0)
 	b.nodes = make([]node, n)
 	if !b.cfg.Interconnect.Flat() {
 		f, err := simnet.NewFabric(b.eng, b.cfg.Interconnect, n, b.trace)
@@ -184,7 +196,7 @@ func (b *builder) makeNodes() error {
 	}
 	for p := int64(0); p < n; p++ {
 		cpu := b.eng.NewResource(rname("cpu%d", p))
-		var in, out *simnet.Resource
+		var in, out simnet.ResID
 		switch b.cfg.Cap {
 		case CapFullDuplex:
 			in = b.eng.NewResource(rname("rx%d", p))
@@ -206,9 +218,13 @@ func (b *builder) makeNodes() error {
 // processor's CPU, link slowdown factors on each communication port (rx
 // port 2p, tx port 2p+1, shared bus −1). Per-message jitter and
 // retransmissions are handled structurally in wire(); resources without a
-// factor — fabric links among them — pass through unchanged.
+// factor — fabric links among them — keep the default 1, and multiplying by
+// 1 is exact, so they pass through unchanged.
 func (b *builder) installPerturb() {
-	factors := make(map[*simnet.Resource]float64, 3*len(b.nodes)+1)
+	factors := make([]float64, b.eng.NumResources())
+	for r := range factors {
+		factors[r] = 1
+	}
 	for p := range b.nodes {
 		n := &b.nodes[p]
 		factors[n.cpu] = b.fp.CPUFactor(int64(p))
@@ -218,15 +234,10 @@ func (b *builder) installPerturb() {
 		factors[n.commIn] = b.fp.LinkFactor(2 * int64(p))
 		factors[n.commOut] = b.fp.LinkFactor(2*int64(p) + 1)
 	}
-	if b.bus != nil {
+	if b.cfg.Network == SharedBus {
 		factors[b.bus] = b.fp.LinkFactor(-1)
 	}
-	b.eng.SetPerturb(func(r *simnet.Resource, d float64) float64 {
-		if f, ok := factors[r]; ok {
-			return d * f
-		}
-		return d
-	})
+	b.eng.SetPerturb(func(r simnet.ResID, d float64) float64 { return d * factors[r] })
 }
 
 // collectMessages enumerates every tile and every tiled dependence, filling
@@ -242,7 +253,7 @@ func (b *builder) collectMessages() {
 	depVecs := b.cfg.Deps.Vectors()
 
 	b.tiles = make([]tileInfo, nSlots)
-	b.computeActs = make([]*simnet.Activity, ts.Volume())
+	b.computeActs = make([]simnet.ActID, ts.Volume())
 	// One backing array for every inbox and outbox bucket: a tile has at
 	// most one in-edge and one out-edge per dependence vector.
 	backing := make([]*message, 2*nSlots*nDeps)
@@ -348,7 +359,7 @@ func (b *builder) plabel(p, s int64) string {
 
 // pause chains the fault plan's transient node pause (if any) onto
 // processor p's CPU program order ahead of its step-s tile work.
-func (b *builder) pause(p, s int64, chain func(int64, *simnet.Activity) *simnet.Activity) {
+func (b *builder) pause(p, s int64, chain func(int64, simnet.ActID) simnet.ActID) {
 	if b.fp == nil {
 		return
 	}
@@ -368,10 +379,10 @@ func (b *builder) pause(p, s int64, chain func(int64, *simnet.Activity) *simnet.
 // processor's turn in its program order.
 func (b *builder) buildBlocking() {
 	mch := b.cfg.Machine
-	prevCPU := make([]*simnet.Activity, len(b.nodes))
+	prevCPU := make([]simnet.ActID, len(b.nodes))
 
-	chain := func(p int64, a *simnet.Activity) *simnet.Activity {
-		if prevCPU[p] != nil {
+	chain := func(p int64, a simnet.ActID) simnet.ActID {
+		if prevCPU[p] != 0 {
 			b.eng.AddDep(prevCPU[p], a)
 		}
 		prevCPU[p] = a
@@ -426,10 +437,10 @@ func (b *builder) buildBlocking() {
 // has none) and the wire rides the comm channels.
 func (b *builder) buildOverlapped() {
 	mch := b.cfg.Machine
-	prevCPU := make([]*simnet.Activity, len(b.nodes))
+	prevCPU := make([]simnet.ActID, len(b.nodes))
 
-	chain := func(p int64, a *simnet.Activity) *simnet.Activity {
-		if prevCPU[p] != nil {
+	chain := func(p int64, a simnet.ActID) simnet.ActID {
+		if prevCPU[p] != 0 {
 			b.eng.AddDep(prevCPU[p], a)
 		}
 		prevCPU[p] = a
@@ -449,7 +460,7 @@ func (b *builder) buildOverlapped() {
 			b.mlabel("isend", m, false))
 		chain(p, a1)
 		// The data being sent was produced by the 'from' tile's compute.
-		if comp := b.computeActs[m.fromRank]; comp != nil {
+		if comp := b.computeActs[m.fromRank]; comp != 0 {
 			b.eng.AddDep(comp, a1)
 		}
 		// B3: kernel copy, on DMA or CPU depending on capability.
@@ -473,7 +484,7 @@ func (b *builder) buildOverlapped() {
 		}
 		b2 := b.eng.NewActivity(b2res, b2dur, b.mlabel("kcopy-rx", m, true))
 		b.eng.AddDep(b1, b2)
-		if m.posted != nil {
+		if m.posted != 0 {
 			b.eng.AddDep(m.posted, b2)
 		}
 		m.dataReady = b2
@@ -509,7 +520,7 @@ func (b *builder) buildOverlapped() {
 			chain(p, comp)
 			b.computeActs[ti.rank] = comp
 			for _, m := range b.inbox[slot] {
-				if m.dataReady == nil {
+				if m.dataReady == 0 {
 					// Sender has not issued yet (sender's issuing step is
 					// after ours in construction order); defer via a
 					// placeholder resolved below.
@@ -541,17 +552,17 @@ func (b *builder) buildOverlapped() {
 // sender may come later in the same step's processor sweep).
 type pendingEdge struct {
 	m    *message
-	comp *simnet.Activity
+	comp simnet.ActID
 }
 
-func (b *builder) deferConsume(m *message, comp *simnet.Activity) {
+func (b *builder) deferConsume(m *message, comp simnet.ActID) {
 	b.pending = append(b.pending, pendingEdge{m: m, comp: comp})
 }
 
 func (b *builder) resolveDeferred() {
 	ts := b.cfg.Topo.TileSpace
 	for _, pe := range b.pending {
-		if pe.m.dataReady == nil {
+		if pe.m.dataReady == 0 {
 			panic(fmt.Sprintf("sim: message %v->%v never issued",
 				ts.Delinearize(pe.m.fromRank), ts.Delinearize(pe.m.toRank)))
 		}
@@ -571,7 +582,7 @@ func (b *builder) resolveDeferred() {
 // re-occupying itself with the next attempt. Only the final, successful
 // attempt feeds the bus/rx stages. The plan caps the attempt count, so the
 // chain is finite and the loss model degrades rather than deadlocks.
-func (b *builder) wire(m *message, pred *simnet.Activity) *simnet.Activity {
+func (b *builder) wire(m *message, pred simnet.ActID) simnet.ActID {
 	tx := b.nodes[m.fromProc].commOut
 	base := b.cfg.Machine.Wire(m.bytes)
 	resends := 0
@@ -585,17 +596,17 @@ func (b *builder) wire(m *message, pred *simnet.Activity) *simnet.Activity {
 			b.linkRetx[m.fromProc*b.numProcs+m.toProc] += resends
 		}
 	}
-	var b4, prev *simnet.Activity
+	var b4, prev simnet.ActID
 	for attempt := 0; attempt <= resends; attempt++ {
 		dur := base
 		if b.fp != nil {
 			dur *= b.fp.WireFactor(m.fromRank, m.toRank, attempt)
 		}
 		a := b.eng.NewActivity(tx, dur, b.mlabel("wire-tx", m, false))
-		if prev != nil {
+		if prev != 0 {
 			b.eng.AddDep(prev, a)
 		} else {
-			if pred != nil {
+			if pred != 0 {
 				b.eng.AddDep(pred, a)
 			}
 			b4 = a // the first attempt is what the sender CPU op gates
@@ -645,16 +656,16 @@ func (b *builder) wire(m *message, pred *simnet.Activity) *simnet.Activity {
 // ensureWire lazily creates the wire pipeline of a blocking-mode message
 // and returns the arrival activity. The sender CPU op is attached later via
 // queueWire.
-func (b *builder) ensureWire(m *message) *simnet.Activity {
-	if m.wireIn != nil {
+func (b *builder) ensureWire(m *message) simnet.ActID {
+	if m.wireIn != 0 {
 		return m.wireIn
 	}
-	return b.wire(m, nil)
+	return b.wire(m, 0)
 }
 
 // queueWire attaches the sender's CPU send op as the predecessor of the
 // message's wire pipeline.
-func (b *builder) queueWire(m *message, send *simnet.Activity) {
+func (b *builder) queueWire(m *message, send simnet.ActID) {
 	b.ensureWire(m)
 	b.eng.AddDep(send, m.wireOut)
 	m.sendQueued = true

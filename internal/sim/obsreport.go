@@ -18,10 +18,14 @@ import (
 // trace never mentions them.
 func (b *builder) obsReport(makespan float64) *obs.Report {
 	ivs := b.eng.Intervals()
-	idx := make(map[*simnet.Resource]int, 3*len(b.nodes)+1)
+	// idx[r] is resource r's track, −1 until added.
+	idx := make([]int, b.eng.NumResources())
+	for r := range idx {
+		idx[r] = -1
+	}
 	var tracks []obs.Track
-	add := func(r *simnet.Resource, name string, kind obs.ResourceKind, node int64, level int) {
-		if _, ok := idx[r]; ok {
+	add := func(r simnet.ResID, name string, kind obs.ResourceKind, node int64, level int) {
+		if idx[r] >= 0 {
 			return
 		}
 		idx[r] = len(tracks)
@@ -37,11 +41,11 @@ func (b *builder) obsReport(makespan float64) *obs.Report {
 			add(n.commOut, fmt.Sprintf("tx%d", p), obs.KindNICOut, int64(p), 0)
 		}
 	}
-	if b.bus != nil {
+	if b.cfg.Network == SharedBus {
 		add(b.bus, "bus", obs.KindBus, -1, 0)
 	}
 	if b.fabric != nil {
-		b.fabric.Links(func(level int, up bool, index int, r *simnet.Resource) {
+		b.fabric.Links(func(level int, up bool, index int, r simnet.ResID) {
 			dir, kind := "up", obs.KindUplink
 			if !up {
 				dir, kind = "down", obs.KindDownlink

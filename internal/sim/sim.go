@@ -220,30 +220,31 @@ func (c Config) Validate() error {
 
 // node bundles the per-processor resources.
 type node struct {
-	cpu     *simnet.Resource
-	commIn  *simnet.Resource
-	commOut *simnet.Resource
+	cpu     simnet.ResID
+	commIn  simnet.ResID
+	commOut simnet.ResID
 }
 
 // message tracks the activity pipeline of one tile-to-tile transfer. Tiles
 // are identified by their rank in the tile space; the coordinate vectors
-// are only retained for labels when tracing.
+// are only retained for labels when tracing. A zero stage ActID means the
+// stage has not been emitted yet.
 type message struct {
 	fromRank   int64
 	toRank     int64
 	fromProc   int64
 	toProc     int64
 	bytes      int64
-	from, to   ilmath.Vec       // populated only when Config.Trace is set
-	dataReady  *simnet.Activity // last stage (B2); compute at 'to' depends on it
-	wireIn     *simnet.Activity // B1, used by blocking receive copy
-	wireOut    *simnet.Activity // B4, gated on the sender's CPU send op
-	posted     *simnet.Activity // overlapped A3 that posted the receive buffer
+	from, to   ilmath.Vec   // populated only when Config.Trace is set
+	dataReady  simnet.ActID // last stage (B2); compute at 'to' depends on it
+	wireIn     simnet.ActID // B1, used by blocking receive copy
+	wireOut    simnet.ActID // B4, gated on the sender's CPU send op
+	posted     simnet.ActID // overlapped A3 that posted the receive buffer
 	sendQueued bool
 }
 
 // Simulator runs simulations while reusing one discrete-event engine — and
-// all of its slab, heap and edge memory — across runs. A sweep worker keeps
+// all of its column, heap and edge memory — across runs. A sweep worker keeps
 // one Simulator per goroutine; a Simulator itself is not safe for
 // concurrent use.
 type Simulator struct {
@@ -273,7 +274,7 @@ func (sm *Simulator) Simulate(cfg Config) (Result, error) {
 	cpuUtil := 0.0
 	if res.Makespan > 0 {
 		for i := range b.nodes {
-			cpuUtil += b.nodes[i].cpu.BusyTime()
+			cpuUtil += sm.eng.BusyTime(b.nodes[i].cpu)
 		}
 		cpuUtil /= res.Makespan * float64(len(b.nodes))
 	}

@@ -8,7 +8,7 @@ package simnet
 // dependence-bound" from "a resource is saturated".
 
 // CritKind classifies why an activity started when it did.
-type CritKind int
+type CritKind uint8
 
 const (
 	// CritStart marks a chain head: the activity started at time 0.
@@ -45,31 +45,34 @@ type CritStep struct {
 // execution order. It must be called after Run; it returns nil on an empty
 // or unrun engine.
 func (e *Engine) CriticalPath() []CritStep {
-	var last *Activity
-	for _, a := range e.activities {
-		if !a.done {
+	if len(e.done) != len(e.res) {
+		return nil // not run since the last activity was registered
+	}
+	var last ActID
+	for a := ActID(1); int(a) < len(e.res); a++ {
+		if !e.done[a] {
 			return nil
 		}
-		if last == nil || a.End > last.End {
+		if last == 0 || e.end[a] > e.end[last] {
 			last = a
 		}
 	}
-	if last == nil {
+	if last == 0 {
 		return nil
 	}
-	var rev []*Activity
-	for a := last; a != nil; a = a.critPred {
+	var rev []ActID
+	for a := last; a != 0; a = e.critPred[a] {
 		rev = append(rev, a)
 	}
 	out := make([]CritStep, len(rev))
 	for i := range rev {
 		a := rev[len(rev)-1-i]
 		out[i] = CritStep{
-			Label:    a.Label,
-			Resource: a.Res.Name,
-			Start:    a.Start,
-			End:      a.End,
-			Kind:     a.critKind,
+			Label:    e.label(a),
+			Resource: e.ResName(e.res[a]),
+			Start:    e.start[a],
+			End:      e.end[a],
+			Kind:     e.critKind[a],
 		}
 	}
 	return out

@@ -114,12 +114,12 @@ func TestCriticalPathCoversMakespan(t *testing.T) {
 	e := NewEngine()
 	r0 := e.NewResource("r0")
 	r1 := e.NewResource("r1")
-	var prev *Activity
+	var prev ActID
 	for i := 0; i < 20; i++ {
 		a := e.NewActivity(r0, float64(1+i%3), "a")
 		b := e.NewActivity(r1, float64(2-i%2), "b")
 		e.AddDep(a, b)
-		if prev != nil {
+		if prev != 0 {
 			e.AddDep(prev, a)
 		}
 		prev = b

@@ -30,14 +30,28 @@
 // zero topo.Spec reproduces the flat single-switch machine exactly.
 // DESIGN.md §12 develops the model and its determinism argument.
 //
-// The engine is allocation-lean: activities and resources live in chunked
-// slabs owned by the Engine (pointers stay valid as the graph grows),
-// dependence edges accumulate in one flat list that Run compacts into a
+// The engine is allocation-lean and pointer-free: resources and activities
+// are dense int32 handles (ResID, ActID; the zero ActID means "none"), and
+// all their state lives in flat columns indexed by handle — resource, duration,
+// start, end, ready time, predecessor counts, CSR offsets, critical-path
+// links — plus one ready heap of handles per resource. No column holds a
+// pointer, string, slice or map (a reflection test enforces it), so the
+// garbage collector never scans the activity graph and Run's hot loop never
+// executes a write barrier. Activity labels and resource names sit in side
+// tables filled only for non-empty strings, i.e. only by traced builds;
+// results are read back through Start, End, BusyTime and ResName.
+// Dependence edges accumulate in one flat list that Run compacts into a
 // CSR-style successor array via a two-pass degree count, and Reset lets a
-// caller reuse one Engine — and all of its backing memory — across many
+// caller reuse one Engine — and all of its columns — across many
 // simulations (one engine per sweep worker). The Fabric follows the same
-// discipline: its links are slab resources, sized once from the world size
-// and the spec, and Route appends into a caller-owned buffer so
-// steady-state routing allocates nothing — the per-rank allocation budget
-// stays flat from 100 to 10000 ranks (BenchmarkScaleAllocBudget locks it).
+// discipline: its links are ordinary resource handles, reserved up front
+// from the world size and the spec (FabricLinks), and Route appends into a
+// caller-owned buffer so steady-state routing allocates nothing — the
+// per-rank allocation budget stays flat from 100 to 10000 ranks
+// (BenchmarkScaleAllocBudget locks it).
+//
+// Every Run also checks its makespan against two lower bounds any feasible
+// schedule obeys: the longest dependency-only path and the busiest
+// resource's total occupancy. Float addition is monotone, so the comparison
+// is exact; a violation is reported as an error, like a deadlock.
 package simnet

@@ -5,74 +5,64 @@ import (
 	"math"
 )
 
-// Resource is a serially-shared facility (a CPU, a DMA engine, a NIC port).
-type Resource struct {
-	ID   int
-	Name string
+// ResID is the handle of a serially-shared resource (a CPU, a DMA engine, a
+// NIC port). Handles are dense: the n-th registered resource is ResID(n).
+type ResID int32
 
-	busy    bool
-	freeAt  float64
-	pending actHeap
-	lastAct *Activity // most recently completed activity, for critical paths
-	// busyTime accumulates total occupancy for utilization reporting.
-	busyTime float64
-}
-
-// BusyTime returns the total time the resource spent executing activities
-// in the last Run. Dividing by the makespan gives its utilization without
-// materializing the Result.Utilization map.
-func (r *Resource) BusyTime() float64 { return r.busyTime }
-
-// Activity is a unit of work bound to one resource.
-type Activity struct {
-	ID       int
-	Label    string
-	Res      *Resource
-	Duration float64
-
-	// Start and End are filled in by Run.
-	Start, End float64
-
-	npreds int
-	// Successors live in the engine's CSR array: succList[succOff:succOff+succN].
-	succOff, succN int32
-	ready          float64 // max end time of completed predecessors
-	started        bool
-	done           bool
-
-	// Critical-path bookkeeping (see critpath.go).
-	readyPred *Activity // the predecessor whose completion set `ready`
-	critPred  *Activity
-	critKind  CritKind
-}
+// ActID is the handle of an activity, a unit of work bound to one resource.
+// Handles count up from 1 in registration order; the zero ActID means
+// "none", so zero-valued ActID fields need no sentinel initialization.
+type ActID int32
 
 // edge is one precedence constraint, buffered until Run builds the CSR
 // successor lists.
 type edge struct {
-	before, after *Activity
+	before, after ActID
 }
 
-// Slab sizes: large enough that slab bookkeeping is negligible, small
-// enough that a tiny simulation doesn't waste memory.
-const (
-	actSlabSize = 4096
-	resSlabSize = 64
-)
-
-// Engine owns the resources and activities of one simulation.
+// Engine owns the resources and activities of one simulation. All state
+// lives in flat, pointer-free columns indexed by handle, so the garbage
+// collector never scans them and the hot loop of Run never hits a write
+// barrier.
 type Engine struct {
-	resources  []*Resource
-	activities []*Activity
+	// Per-activity columns, indexed by ActID (slot 0 is the reserved "none"
+	// activity). res and dur are filled at registration; the rest are
+	// sized and cleared by Run.
+	res       []ResID
+	dur       []float64
+	start     []float64
+	end       []float64
+	ready     []float64 // max end time of completed predecessors
+	est       []float64 // earliest start from dependencies alone
+	npreds    []int32
+	succOff   []int32 // successors live in succList[succOff:succOff+succN]
+	succN     []int32
+	readyPred []ActID // the predecessor whose completion set ready
+	critPred  []ActID // see critpath.go
+	critKind  []CritKind
+	done      []bool
 
-	// Chunked arenas backing the pointers above. Chunks are never
-	// reallocated, so &slab[i] stays valid while the graph grows; Reset
-	// rewinds the counters and reuses the same chunks.
-	actSlabs [][]Activity
-	resSlabs [][]Resource
+	// Per-resource columns, indexed by ResID.
+	freeAt   []float64
+	busy     []bool
+	busyTime []float64 // total occupancy, for utilization reporting
+	last     []ActID   // most recently completed activity, for critical paths
+	// pending[r] is r's ready heap. The inner backing arrays are kept
+	// across Resets.
+	pending [][]ActID
+
+	// Side tables for human-readable names, filled only for non-empty
+	// strings (in practice only by traced builds): labels[a] and
+	// resNames[r] are "" or absent otherwise.
+	labels   []string
+	resNames []string
 
 	edges    []edge
-	succList []*Activity
+	succList []ActID
 	events   eventHeap
+
+	// Lower bounds of the last Run (see checkBounds).
+	pathBound, resBound float64
 
 	trace     []TraceEntry
 	keepTrace bool
@@ -93,7 +83,7 @@ type Engine struct {
 // duration, which must remain non-negative and finite. Builders install one
 // via SetPerturb to model stragglers, slow links or jittered transfers
 // without changing the graph structure.
-type PerturbFunc func(r *Resource, duration float64) float64
+type PerturbFunc func(r ResID, duration float64) float64
 
 // TraceEntry records one executed activity for Gantt rendering.
 type TraceEntry struct {
@@ -110,7 +100,7 @@ type TraceEntry struct {
 // resource ran it and when. Unlike TraceEntry it carries no strings, so the
 // log stays cheap enough for untraced sweep simulations (see KeepIntervals).
 type Interval struct {
-	Res *Resource
+	Res ResID
 	// Ready is when the activity's last dataflow predecessor finished;
 	// Start − Ready is the time spent queued behind the resource.
 	Ready      float64
@@ -118,16 +108,32 @@ type Interval struct {
 }
 
 // NewEngine returns an empty simulation.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine {
+	e := &Engine{}
+	e.Reset()
+	return e
+}
 
 // Reset rewinds the engine so it can build and run a fresh simulation while
-// reusing every slab, heap and edge buffer of the previous one. Any Trace
+// reusing every column, heap and edge buffer of the previous one. Any Trace
 // slice handed out by the previous Run is abandoned to its caller (never
-// overwritten). Resource and Activity pointers from before the Reset must
-// not be used afterwards.
+// overwritten). Handles from before the Reset must not be used afterwards.
 func (e *Engine) Reset() {
-	e.resources = e.resources[:0]
-	e.activities = e.activities[:0]
+	// Slot 0 of every activity column is the reserved "none" activity.
+	e.res = append(e.res[:0], -1)
+	e.dur = append(e.dur[:0], 0)
+	e.start = e.start[:0]
+	e.end = e.end[:0]
+	e.done = e.done[:0]
+	e.freeAt = e.freeAt[:0]
+	e.busy = e.busy[:0]
+	e.busyTime = e.busyTime[:0]
+	e.last = e.last[:0]
+	e.pending = e.pending[:0]
+	clear(e.labels)
+	e.labels = e.labels[:0]
+	clear(e.resNames)
+	e.resNames = e.resNames[:0]
 	e.edges = e.edges[:0]
 	e.succList = e.succList[:0]
 	e.events = e.events[:0]
@@ -163,46 +169,80 @@ func (e *Engine) KeepIntervals(on bool) { e.keepIntervals = on }
 func (e *Engine) Intervals() []Interval { return e.intervals }
 
 // KeepUtilization controls whether Run materializes the Result.Utilization
-// map (on by default). Sweep-style callers that read Resource.BusyTime
-// directly turn it off to avoid per-run map and string churn.
+// map (on by default). Sweep-style callers that read BusyTime directly turn
+// it off to avoid per-run map and string churn.
 func (e *Engine) KeepUtilization(on bool) { e.skipUtil = !on }
 
-// Reserve pre-sizes the engine's bookkeeping for a graph of about the given
-// number of activities and dependence edges, so a builder that knows its
-// tile and message counts up front avoids regrowth entirely.
-func (e *Engine) Reserve(activities, deps int) {
-	if n := len(e.activities) + activities; cap(e.activities) < n {
-		grown := make([]*Activity, len(e.activities), n)
-		copy(grown, e.activities)
-		e.activities = grown
+// Reserve pre-sizes the engine's columns for a graph of about the given
+// number of resources, activities and dependence edges, so a builder that
+// knows its node, tile and message counts up front avoids regrowth
+// entirely.
+func (e *Engine) Reserve(resources, activities, deps int) {
+	e.freeAt = grow(e.freeAt, resources)
+	e.busy = grow(e.busy, resources)
+	e.busyTime = grow(e.busyTime, resources)
+	e.last = grow(e.last, resources)
+	e.pending = grow(e.pending, resources)
+	e.res = grow(e.res, activities)
+	e.dur = grow(e.dur, activities)
+	e.edges = grow(e.edges, deps)
+}
+
+// grow returns s with room for n more elements without reallocation.
+func grow[T any](s []T, n int) []T {
+	if need := len(s) + n; cap(s) < need {
+		grown := make([]T, len(s), need)
+		copy(grown[:cap(s)], s[:cap(s)]) // keep what lies past len, too
+		return grown
 	}
-	if n := len(e.edges) + deps; cap(e.edges) < n {
-		grown := make([]edge, len(e.edges), n)
-		copy(grown, e.edges)
-		e.edges = grown
+	return s
+}
+
+// column returns s resized to n zeroed elements, reusing its backing array
+// when it is large enough.
+func column[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // NewResource registers a serially-shared resource.
-func (e *Engine) NewResource(name string) *Resource {
-	n := len(e.resources)
-	chunk, idx := n/resSlabSize, n%resSlabSize
-	if chunk == len(e.resSlabs) {
-		e.resSlabs = append(e.resSlabs, make([]Resource, resSlabSize))
+func (e *Engine) NewResource(name string) ResID {
+	r := ResID(len(e.freeAt))
+	e.freeAt = append(e.freeAt, 0)
+	e.busy = append(e.busy, false)
+	e.busyTime = append(e.busyTime, 0)
+	e.last = append(e.last, 0)
+	if int(r) < cap(e.pending) {
+		e.pending = e.pending[:r+1]
+		e.pending[r] = e.pending[r][:0] // keep the heap's backing array
+	} else {
+		e.pending = append(e.pending, nil)
 	}
-	r := &e.resSlabs[chunk][idx]
-	pending := r.pending[:0] // keep the ready-heap's backing array across Resets
-	*r = Resource{ID: n, Name: name, pending: pending}
-	e.resources = append(e.resources, r)
+	if name != "" {
+		e.resNames = setName(e.resNames, int(r), name)
+	}
 	return r
+}
+
+// setName stores name at index i of a side table, padding with "".
+func setName(t []string, i int, name string) []string {
+	if len(t) <= i {
+		t = append(t, make([]string, i+1-len(t))...)
+	}
+	t[i] = name
+	return t
 }
 
 // NewActivity registers an activity of the given duration on resource r.
 // Durations must be non-negative; zero-duration activities are permitted
 // (useful as synchronization points).
-func (e *Engine) NewActivity(r *Resource, duration float64, label string) *Activity {
-	if r == nil {
-		panic("simnet: nil resource")
+func (e *Engine) NewActivity(r ResID, duration float64, label string) ActID {
+	if r < 0 || int(r) >= len(e.freeAt) {
+		panic(fmt.Sprintf("simnet: unknown resource %d", r))
 	}
 	if duration < 0 || math.IsNaN(duration) {
 		panic(fmt.Sprintf("simnet: invalid duration %g for %q", duration, label))
@@ -213,133 +253,177 @@ func (e *Engine) NewActivity(r *Resource, duration float64, label string) *Activ
 			panic(fmt.Sprintf("simnet: perturbed duration %g for %q is invalid", duration, label))
 		}
 	}
-	n := len(e.activities)
-	chunk, idx := n/actSlabSize, n%actSlabSize
-	if chunk == len(e.actSlabs) {
-		e.actSlabs = append(e.actSlabs, make([]Activity, actSlabSize))
+	a := ActID(len(e.res))
+	e.res = append(e.res, r)
+	e.dur = append(e.dur, duration)
+	if label != "" {
+		e.labels = setName(e.labels, int(a), label)
 	}
-	a := &e.actSlabs[chunk][idx]
-	*a = Activity{ID: n, Label: label, Res: r, Duration: duration}
-	e.activities = append(e.activities, a)
 	return a
 }
 
 // AddDep declares that 'before' must finish before 'after' may start.
-func (e *Engine) AddDep(before, after *Activity) {
-	if before == nil || after == nil {
-		panic("simnet: nil activity in dependency")
+func (e *Engine) AddDep(before, after ActID) {
+	if before <= 0 || after <= 0 || int(before) >= len(e.res) || int(after) >= len(e.res) {
+		panic(fmt.Sprintf("simnet: invalid activity in dependency %d -> %d", before, after))
 	}
 	e.edges = append(e.edges, edge{before, after})
-	after.npreds++
 }
 
-// buildSuccs compacts the edge list into the CSR successor array: one pass
-// counts out-degrees, a prefix sum assigns offsets, a second pass fills.
+// Start returns when activity a started in the last Run (0 before Run).
+func (e *Engine) Start(a ActID) float64 {
+	if int(a) >= len(e.start) {
+		return 0
+	}
+	return e.start[a]
+}
+
+// End returns when activity a finished in the last Run (0 before Run).
+func (e *Engine) End(a ActID) float64 {
+	if int(a) >= len(e.end) {
+		return 0
+	}
+	return e.end[a]
+}
+
+// BusyTime returns the total time resource r spent executing activities in
+// the last Run. Dividing by the makespan gives its utilization without
+// materializing the Result.Utilization map.
+func (e *Engine) BusyTime(r ResID) float64 { return e.busyTime[r] }
+
+// ResName returns the name resource r was registered with.
+func (e *Engine) ResName(r ResID) string { return nameAt(e.resNames, int(r)) }
+
+func (e *Engine) label(a ActID) string { return nameAt(e.labels, int(a)) }
+
+func nameAt(t []string, i int) string {
+	if i < len(t) {
+		return t[i]
+	}
+	return ""
+}
+
+// buildSuccs sizes the run-time columns and compacts the edge list into the
+// CSR successor array: one pass counts in- and out-degrees, a prefix sum
+// assigns offsets, a second pass fills.
 func (e *Engine) buildSuccs() {
-	for i := range e.edges {
-		e.edges[i].before.succN++
+	n := len(e.res)
+	e.npreds = column(e.npreds, n)
+	e.succOff = column(e.succOff, n)
+	e.succN = column(e.succN, n)
+	npreds, succOff, succN := e.npreds, e.succOff, e.succN
+	for _, ed := range e.edges {
+		succN[ed.before]++
+		npreds[ed.after]++
 	}
 	var off int32
-	for _, a := range e.activities {
-		a.succOff = off
-		off += a.succN
-		a.succN = 0
+	for a := range succN {
+		succOff[a] = off
+		off += succN[a]
+		succN[a] = 0
 	}
-	if cap(e.succList) < len(e.edges) {
-		e.succList = make([]*Activity, len(e.edges))
-	} else {
-		e.succList = e.succList[:len(e.edges)]
-	}
+	e.succList = column(e.succList, len(e.edges))
 	for _, ed := range e.edges {
 		b := ed.before
-		e.succList[b.succOff+b.succN] = ed.after
-		b.succN++
+		e.succList[succOff[b]+succN[b]] = ed.after
+		succN[b]++
 	}
-}
-
-// succs returns a's successor list.
-func (e *Engine) succs(a *Activity) []*Activity {
-	return e.succList[a.succOff : a.succOff+a.succN]
 }
 
 // completion is an entry in the event heap.
 type completion struct {
 	t   float64
-	seq int
-	act *Activity
+	seq int32
+	act ActID
 }
 
 // eventHeap is a binary min-heap over (time, sequence). The push/pop
 // functions are hand-rolled instead of container/heap because the latter
 // boxes every pushed element into an interface — one allocation per
-// scheduled event, the dominant churn of large sweeps.
+// scheduled event, the dominant churn of large sweeps. Sequence numbers are
+// unique, so the pop order is a strict total order that does not depend on
+// the heap's internal layout.
 type eventHeap []completion
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+func (c completion) before(d completion) bool {
+	if c.t != d.t {
+		return c.t < d.t
 	}
-	return h[i].seq < h[j].seq
+	return c.seq < d.seq
 }
 
 func (h *eventHeap) push(c completion) {
-	*h = append(*h, c)
-	s := *h
+	s := append(*h, c)
+	*h = s
 	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !s.less(i, p) {
+		if !c.before(s[p]) {
 			break
 		}
-		s[i], s[p] = s[p], s[i]
+		s[i] = s[p]
 		i = p
 	}
+	s[i] = c
 }
 
+// pop removes the earliest completion. It walks the hole left at the root
+// down to a leaf along the smaller children, then sifts the former last
+// element up from there (Floyd's variant: about half the comparisons of a
+// plain sift-down, since the last element usually belongs near a leaf).
 func (h *eventHeap) pop() completion {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
+	last := s[n]
 	s = s[:n]
 	*h = s
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s.less(l, min) {
-			min = l
-		}
-		if r < n && s.less(r, min) {
-			min = r
-		}
-		if min == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		s[i], s[min] = s[min], s[i]
-		i = min
+		if c+1 < n && s[c+1].before(s[c]) {
+			c++
+		}
+		s[i] = s[c]
+		i = c
 	}
+	for i > 0 {
+		p := (i - 1) / 2
+		if !last.before(s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = last
 	return top
 }
 
-// actHeap orders ready activities by (ready time, ID); same hand-rolled
-// heap as eventHeap for the same allocation reason.
-type actHeap []*Activity
-
-func (h actHeap) less(i, j int) bool {
-	if h[i].ready != h[j].ready {
-		return h[i].ready < h[j].ready
+// readyBefore orders ready activities by (ready time, handle); handle order
+// is creation order.
+func readyBefore(ready []float64, a, b ActID) bool {
+	if ready[a] != ready[b] {
+		return ready[a] < ready[b]
 	}
-	return h[i].ID < h[j].ID
+	return a < b
 }
 
-func (h *actHeap) push(a *Activity) {
-	*h = append(*h, a)
-	s := *h
+// pushReady adds a to resource r's ready heap (hand-rolled for the same
+// allocation reason as eventHeap).
+func (e *Engine) pushReady(r ResID, a ActID) {
+	s := append(e.pending[r], a)
+	e.pending[r] = s
+	ready := e.ready
 	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !s.less(i, p) {
+		if !readyBefore(ready, s[i], s[p]) {
 			break
 		}
 		s[i], s[p] = s[p], s[i]
@@ -347,23 +431,24 @@ func (h *actHeap) push(a *Activity) {
 	}
 }
 
-func (h *actHeap) pop() *Activity {
-	s := *h
+// popReady removes and returns the earliest-ready activity of r's heap.
+func (e *Engine) popReady(r ResID) ActID {
+	s := e.pending[r]
+	ready := e.ready
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = nil // let the engine's Reset-retained backing array release it
 	s = s[:n]
-	*h = s
+	e.pending[r] = s
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
+		l, rt := 2*i+1, 2*i+2
 		min := i
-		if l < n && s.less(l, min) {
+		if l < n && readyBefore(ready, s[l], s[min]) {
 			min = l
 		}
-		if r < n && s.less(r, min) {
-			min = r
+		if rt < n && readyBefore(ready, s[rt], s[min]) {
+			min = rt
 		}
 		if min == i {
 			break
@@ -378,120 +463,171 @@ func (h *actHeap) pop() *Activity {
 type Result struct {
 	Makespan float64
 	// Utilization maps resource name to busy-time / makespan. It is nil
-	// when KeepUtilization(false) was set; read Resource.BusyTime instead.
+	// when KeepUtilization(false) was set; read Engine.BusyTime instead.
 	Utilization map[string]float64
 	Trace       []TraceEntry
 }
 
 // Run executes the simulation to completion and returns the makespan. It
 // returns an error if not every activity could run, which indicates a
-// dependency cycle (a deadlocked schedule). Run consumes the dependence
-// counts, so it may be called only once per build; call Reset and rebuild
-// to simulate again.
+// dependency cycle (a deadlocked schedule), or if the makespan undercuts a
+// lower bound (see checkBounds). Run consumes the dependence counts, so it
+// may be called only once per build; call Reset and rebuild to simulate
+// again.
 func (e *Engine) Run() (Result, error) {
 	e.buildSuccs()
+	n := len(e.res)
+	e.start = column(e.start, n)
+	e.end = column(e.end, n)
+	e.ready = column(e.ready, n)
+	e.est = column(e.est, n)
+	e.readyPred = column(e.readyPred, n)
+	e.critPred = column(e.critPred, n)
+	e.critKind = column(e.critKind, n)
+	e.done = column(e.done, n)
 	e.events = e.events[:0]
+
+	res, dur, start, end, ready, est := e.res, e.dur, e.start, e.end, e.ready, e.est
+	npreds, succOff, succN, succList := e.npreds, e.succOff, e.succN, e.succList
+	readyPred, critPred, critKind, done := e.readyPred, e.critPred, e.critKind, e.done
+	freeAt, busy, busyTime, last := e.freeAt, e.busy, e.busyTime, e.last
 	events := &e.events
-	seq := 0
+	var seq int32
 	now := 0.0
 
-	startOn := func(r *Resource) {
-		for !r.busy && len(r.pending) > 0 {
-			a := r.pending.pop()
-			start := a.ready
-			a.critPred = a.readyPred
-			a.critKind = CritDependency
-			if a.readyPred == nil {
-				a.critKind = CritStart
-			}
-			if r.freeAt > start {
-				start = r.freeAt
-				if r.lastAct != nil {
-					a.critPred = r.lastAct
-					a.critKind = CritResource
-				}
-			}
-			if start < now {
-				start = now
-			}
-			a.Start = start
-			a.End = start + a.Duration
-			a.started = true
-			r.busy = true
-			events.push(completion{t: a.End, seq: seq, act: a})
-			seq++
+	// startOn starts r's earliest-ready activity; callers check that r is
+	// idle and has pending work (the common case of a busy or empty
+	// resource then costs no call).
+	startOn := func(r ResID) {
+		a := e.popReady(r)
+		t := ready[a]
+		critPred[a] = readyPred[a]
+		critKind[a] = CritDependency
+		if readyPred[a] == 0 {
+			critKind[a] = CritStart
 		}
+		if freeAt[r] > t {
+			t = freeAt[r]
+			if last[r] != 0 {
+				critPred[a] = last[r]
+				critKind[a] = CritResource
+			}
+		}
+		if t < now {
+			t = now
+		}
+		start[a] = t
+		end[a] = t + dur[a]
+		busy[r] = true
+		events.push(completion{t: end[a], seq: seq, act: a})
+		seq++
 	}
+	pending := e.pending
+	idleWithWork := func(r ResID) bool { return !busy[r] && len(pending[r]) > 0 }
 
 	// Seed: all activities with no predecessors are ready at t=0.
-	for _, a := range e.activities {
-		if a.npreds == 0 {
-			a.ready = 0
-			a.Res.pending.push(a)
+	for a := ActID(1); int(a) < n; a++ {
+		if npreds[a] == 0 {
+			e.pushReady(res[a], a)
 		}
 	}
-	for _, r := range e.resources {
-		startOn(r)
+	for r := range freeAt {
+		if idleWithWork(ResID(r)) {
+			startOn(ResID(r))
+		}
 	}
 
 	completed := 0
+	pathBound := 0.0
 	for len(*events) > 0 {
 		ev := events.pop()
 		a := ev.act
 		now = ev.t
-		a.done = true
+		done[a] = true
 		completed++
-		r := a.Res
-		r.busy = false
-		r.freeAt = a.End
-		r.lastAct = a
-		r.busyTime += a.Duration
+		r := res[a]
+		busy[r] = false
+		freeAt[r] = end[a]
+		last[r] = a
+		busyTime[r] += dur[a]
 		if e.keepTrace {
-			e.trace = append(e.trace, TraceEntry{Resource: r.Name, Label: a.Label, Start: a.Start, End: a.End, Ready: a.ready})
+			e.trace = append(e.trace, TraceEntry{Resource: e.ResName(r), Label: e.label(a), Start: start[a], End: end[a], Ready: ready[a]})
 		}
 		if e.keepIntervals {
-			e.intervals = append(e.intervals, Interval{Res: r, Ready: a.ready, Start: a.Start, End: a.End})
+			e.intervals = append(e.intervals, Interval{Res: r, Ready: ready[a], Start: start[a], End: end[a]})
 		}
-		succs := e.succs(a)
+		// The dependency-only finish time of a: no resource waits.
+		fin := est[a] + dur[a]
+		if fin > pathBound {
+			pathBound = fin
+		}
+		succs := succList[succOff[a] : succOff[a]+succN[a]]
 		for _, s := range succs {
-			s.npreds--
-			if a.End > s.ready {
-				s.ready = a.End
-				s.readyPred = a
+			npreds[s]--
+			if end[a] > ready[s] {
+				ready[s] = end[a]
+				readyPred[s] = a
 			}
-			if s.npreds == 0 {
-				s.Res.pending.push(s)
+			if fin > est[s] {
+				est[s] = fin
+			}
+			if npreds[s] == 0 {
+				e.pushReady(res[s], s)
 			}
 		}
 		// The freed resource and any resources that gained ready work may
 		// start something. Trying all successors' resources plus r covers
 		// every resource whose pending set changed.
-		startOn(r)
-		for _, s := range succs {
-			startOn(s.Res)
+		if idleWithWork(r) {
+			startOn(r)
 		}
-	}
-
-	if completed != len(e.activities) {
-		return Result{}, fmt.Errorf("simnet: deadlock, only %d of %d activities completed (dependency cycle?)",
-			completed, len(e.activities))
-	}
-	res := Result{Makespan: now, Trace: e.trace}
-	if !e.skipUtil {
-		res.Utilization = make(map[string]float64, len(e.resources))
-		for _, r := range e.resources {
-			if now > 0 {
-				res.Utilization[r.Name] = r.busyTime / now
-			} else {
-				res.Utilization[r.Name] = 0
+		for _, s := range succs {
+			if rs := res[s]; idleWithWork(rs) {
+				startOn(rs)
 			}
 		}
 	}
-	return res, nil
+
+	if completed != n-1 {
+		return Result{}, fmt.Errorf("simnet: deadlock, only %d of %d activities completed (dependency cycle?)",
+			completed, n-1)
+	}
+	e.pathBound, e.resBound = pathBound, 0
+	for _, b := range busyTime {
+		e.resBound = max(e.resBound, b)
+	}
+	if err := checkBounds(now, e.pathBound, e.resBound); err != nil {
+		return Result{}, err
+	}
+	out := Result{Makespan: now, Trace: e.trace}
+	if !e.skipUtil {
+		out.Utilization = make(map[string]float64, len(busyTime))
+		for r, b := range busyTime {
+			if now > 0 {
+				out.Utilization[e.ResName(ResID(r))] = b / now
+			} else {
+				out.Utilization[e.ResName(ResID(r))] = 0
+			}
+		}
+	}
+	return out, nil
+}
+
+// checkBounds verifies the makespan against two lower bounds every feasible
+// schedule obeys: the longest dependency-only path (each activity started
+// the moment its predecessors finished) and the busiest resource's total
+// occupancy. Float addition is monotone, so both hold bit for bit and the
+// comparison needs no tolerance; a violation means the engine is broken.
+func checkBounds(makespan, path, resource float64) error {
+	if makespan < path || makespan < resource {
+		return fmt.Errorf("simnet: makespan %g undercuts its lower bound (dependency path %g, busiest resource %g)",
+			makespan, path, resource)
+	}
+	return nil
 }
 
 // NumActivities returns how many activities have been registered.
-func (e *Engine) NumActivities() int { return len(e.activities) }
+func (e *Engine) NumActivities() int { return len(e.res) - 1 }
 
 // NumResources returns how many resources have been registered.
-func (e *Engine) NumResources() int { return len(e.resources) }
+func (e *Engine) NumResources() int { return len(e.freeAt) }

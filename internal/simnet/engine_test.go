@@ -36,9 +36,9 @@ func TestChainSerializes(t *testing.T) {
 	if r.Makespan != 9 {
 		t.Errorf("makespan = %g, want 9", r.Makespan)
 	}
-	if a.End != 2 || b.Start != 2 || b.End != 5 || c.Start != 5 {
+	if e.End(a) != 2 || e.Start(b) != 2 || e.End(b) != 5 || e.Start(c) != 5 {
 		t.Errorf("chain times wrong: a=[%g,%g] b=[%g,%g] c=[%g,%g]",
-			a.Start, a.End, b.Start, b.End, c.Start, c.End)
+			e.Start(a), e.End(a), e.Start(b), e.End(b), e.Start(c), e.End(c))
 	}
 }
 
@@ -87,11 +87,11 @@ func TestFIFOByReadyTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Start != 0 {
-		t.Errorf("c.Start = %g, want 0 (ready first)", c.Start)
+	if e.Start(c) != 0 {
+		t.Errorf("c.Start = %g, want 0 (ready first)", e.Start(c))
 	}
-	if b.Start != 5 {
-		t.Errorf("b.Start = %g, want 5", b.Start)
+	if e.Start(b) != 5 {
+		t.Errorf("b.Start = %g, want 5", e.Start(b))
 	}
 }
 
@@ -104,8 +104,8 @@ func TestTieBreakByCreationOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.Start != 0 || y.Start != 1 {
-		t.Errorf("creation-order tie-break violated: x@%g y@%g", x.Start, y.Start)
+	if e.Start(x) != 0 || e.Start(y) != 1 {
+		t.Errorf("creation-order tie-break violated: x@%g y@%g", e.Start(x), e.Start(y))
 	}
 }
 
@@ -127,8 +127,8 @@ func TestDiamondDependency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Start != 6 {
-		t.Errorf("d.Start = %g, want 6 (after slower branch)", d.Start)
+	if e.Start(d) != 6 {
+		t.Errorf("d.Start = %g, want 6 (after slower branch)", e.Start(d))
 	}
 	if r.Makespan != 7 {
 		t.Errorf("makespan = %g, want 7", r.Makespan)
@@ -178,10 +178,12 @@ func TestInvalidInputsPanic(t *testing.T) {
 	e := NewEngine()
 	cpu := e.NewResource("cpu")
 	for name, f := range map[string]func(){
-		"nil resource":      func() { e.NewActivity(nil, 1, "x") },
+		"unknown resource":  func() { e.NewActivity(cpu+1, 1, "x") },
+		"negative resource": func() { e.NewActivity(-1, 1, "x") },
 		"negative duration": func() { e.NewActivity(cpu, -1, "x") },
 		"nan duration":      func() { e.NewActivity(cpu, math.NaN(), "x") },
-		"nil dep":           func() { e.AddDep(nil, nil) },
+		"nil dep":           func() { e.AddDep(0, 0) },
+		"unknown dep":       func() { e.AddDep(1, 99) },
 	} {
 		func() {
 			defer func() {
@@ -233,10 +235,10 @@ func TestUtilization(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	build := func() (*Engine, []*Activity) {
+	build := func() (*Engine, []ActID) {
 		e := NewEngine()
-		cpus := []*Resource{e.NewResource("c0"), e.NewResource("c1")}
-		var acts []*Activity
+		cpus := []ResID{e.NewResource("c0"), e.NewResource("c1")}
+		var acts []ActID
 		for i := 0; i < 50; i++ {
 			a := e.NewActivity(cpus[i%2], float64(1+i%7), "a")
 			acts = append(acts, a)
@@ -263,7 +265,7 @@ func TestDeterminism(t *testing.T) {
 		t.Fatalf("non-deterministic makespan: %g vs %g", r1.Makespan, r2.Makespan)
 	}
 	for i := range a1 {
-		if a1[i].Start != a2[i].Start || a1[i].End != a2[i].End {
+		if e1.Start(a1[i]) != e2.Start(a2[i]) || e1.End(a1[i]) != e2.End(a2[i]) {
 			t.Fatalf("non-deterministic activity %d", i)
 		}
 	}
@@ -279,11 +281,11 @@ func TestPipelineOverlapCanonical(t *testing.T) {
 	e := NewEngine()
 	cpu := e.NewResource("cpu")
 	nic := e.NewResource("nic")
-	var prevCompute *Activity
-	var lastSend *Activity
+	var prevCompute ActID
+	var lastSend ActID
 	for k := 0; k < n; k++ {
 		c := e.NewActivity(cpu, 5, "compute")
-		if prevCompute != nil {
+		if prevCompute != 0 {
 			e.AddDep(prevCompute, c)
 			s := e.NewActivity(nic, 3, "send")
 			e.AddDep(prevCompute, s)
@@ -303,7 +305,7 @@ func TestPipelineOverlapCanonical(t *testing.T) {
 	if r.Makespan != want {
 		t.Errorf("makespan = %g, want %g (pipelined)", r.Makespan, want)
 	}
-	if lastSend.End != want {
-		t.Errorf("last send ends at %g", lastSend.End)
+	if e.End(lastSend) != want {
+		t.Errorf("last send ends at %g", e.End(lastSend))
 	}
 }

@@ -14,10 +14,10 @@ func Example() {
 	e := simnet.NewEngine()
 	cpu := e.NewResource("cpu")
 	nic := e.NewResource("nic")
-	var prev *simnet.Activity
+	var prev simnet.ActID
 	for k := 0; k < 4; k++ {
 		c := e.NewActivity(cpu, 10, fmt.Sprintf("compute%d", k))
-		if prev != nil {
+		if prev != 0 {
 			e.AddDep(prev, c)
 		}
 		s := e.NewActivity(nic, 3, fmt.Sprintf("send%d", k))

@@ -11,7 +11,7 @@ import (
 // message of node-link wire time t holds the resource for t/BW), and the
 // fixed per-traversal latency to add on top.
 type Hop struct {
-	Res     *Resource
+	Res     ResID
 	BW      float64
 	Latency float64
 }
@@ -21,21 +21,22 @@ type Hop struct {
 // an equal group of downlinks (switch ports are full-duplex; contention is
 // per direction). A transfer between nodes under different edge switches
 // climbs the sender-side uplinks to the lowest common level and descends
-// the receiver-side downlinks — each hop a serially-shared Resource, so
+// the receiver-side downlinks — each hop a serially-shared resource, so
 // uplink contention emerges from the discrete-event engine exactly like CPU
 // or NIC contention does.
 //
-// A Fabric is built per simulation (its resources die with the engine's
-// Reset) and is allocation-lean: one slice per level per direction, no
-// per-message allocation — Route appends into a caller-owned hop buffer.
+// A Fabric is built per simulation (its resource handles die with the
+// engine's Reset) and is allocation-lean: one handle slice per level per
+// direction, no per-message allocation — Route appends into a caller-owned
+// hop buffer.
 type Fabric struct {
 	spec  topo.Spec
 	nodes int64
 	// up[l] and down[l] hold the level-l link resources, indexed by
 	// switch*Uplinks+k. Built bottom-up, so iteration order (and therefore
 	// resource ID assignment) is deterministic.
-	up   [][]*Resource
-	down [][]*Resource
+	up   [][]ResID
+	down [][]ResID
 }
 
 // NewFabric registers the link resources of spec for a machine of `nodes`
@@ -55,13 +56,13 @@ func NewFabric(e *Engine, spec topo.Spec, nodes int64, named bool) (*Fabric, err
 	if spec.Flat() {
 		return f, nil
 	}
-	f.up = make([][]*Resource, spec.Levels)
-	f.down = make([][]*Resource, spec.Levels)
+	f.up = make([][]ResID, spec.Levels)
+	f.down = make([][]ResID, spec.Levels)
 	for l := 0; l < spec.Levels; l++ {
 		sw := spec.Switches(l, nodes)
 		k := int64(spec.L[l].Uplinks)
-		f.up[l] = make([]*Resource, sw*k)
-		f.down[l] = make([]*Resource, sw*k)
+		f.up[l] = make([]ResID, sw*k)
+		f.down[l] = make([]ResID, sw*k)
 		for s := int64(0); s < sw; s++ {
 			for u := int64(0); u < k; u++ {
 				f.up[l][s*k+u] = e.NewResource(linkName(named, "up", l, s*k+u))
@@ -70,6 +71,16 @@ func NewFabric(e *Engine, spec topo.Spec, nodes int64, named bool) (*Fabric, err
 		}
 	}
 	return f, nil
+}
+
+// FabricLinks returns how many link resources NewFabric registers for spec
+// on a machine of `nodes` compute nodes, so a builder can Reserve them.
+func FabricLinks(spec topo.Spec, nodes int64) int {
+	n := 0
+	for l := 0; l < spec.Levels; l++ {
+		n += 2 * int(spec.Switches(l, nodes)) * spec.L[l].Uplinks
+	}
+	return n
 }
 
 // linkName renders "up<level>.<index>" where index is the link's position in
@@ -84,15 +95,6 @@ func linkName(named bool, dir string, level int, index int64) string {
 
 // Spec returns the interconnect description the fabric was built from.
 func (f *Fabric) Spec() topo.Spec { return f.spec }
-
-// NumLinks returns how many link resources the fabric registered.
-func (f *Fabric) NumLinks() int {
-	n := 0
-	for l := range f.up {
-		n += len(f.up[l]) + len(f.down[l])
-	}
-	return n
-}
 
 // Route appends the switch hops of a from→to transfer to hops and returns
 // the extended slice: uplinks of levels 0..common−1 on the sender side,
@@ -127,7 +129,7 @@ func (f *Fabric) Route(from, to int64, hops []Hop) []Hop {
 // uplinks before downlinks, switch-major), passing the level, direction and
 // the link's index within its level's direction group. The observability
 // report uses it to synthesize per-level tracks for unnamed builds.
-func (f *Fabric) Links(visit func(level int, up bool, index int, r *Resource)) {
+func (f *Fabric) Links(visit func(level int, up bool, index int, r ResID)) {
 	for l := range f.up {
 		for i, r := range f.up[l] {
 			visit(l, true, i, r)

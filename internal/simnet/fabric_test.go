@@ -12,9 +12,13 @@ import (
 func TestFabricRouteShape(t *testing.T) {
 	e := NewEngine()
 	// 4 nodes per edge switch, 2 edge switches per aggregation switch.
-	f, err := NewFabric(e, topo.FatTree(4, 2, 2, 4, 1e-6, 1), 16, true)
+	spec := topo.FatTree(4, 2, 2, 4, 1e-6, 1)
+	f, err := NewFabric(e, spec, 16, true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := FabricLinks(spec, 16); n != e.NumResources() {
+		t.Errorf("FabricLinks = %d, but the fabric registered %d links", n, e.NumResources())
 	}
 	cases := []struct {
 		from, to int64
@@ -31,8 +35,8 @@ func TestFabricRouteShape(t *testing.T) {
 			t.Fatalf("Route(%d,%d): %d hops, want %d", c.from, c.to, len(hops), len(c.names))
 		}
 		for i, h := range hops {
-			if h.Res.Name != c.names[i] {
-				t.Errorf("Route(%d,%d) hop %d = %q, want %q", c.from, c.to, i, h.Res.Name, c.names[i])
+			if e.ResName(h.Res) != c.names[i] {
+				t.Errorf("Route(%d,%d) hop %d = %q, want %q", c.from, c.to, i, e.ResName(h.Res), c.names[i])
 			}
 		}
 	}
@@ -51,8 +55,8 @@ func TestFabricFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumLinks() != 0 {
-		t.Errorf("flat fabric has %d links, want 0", f.NumLinks())
+	if n := FabricLinks(topo.Flat(), 8); n != 0 {
+		t.Errorf("flat fabric has %d links, want 0", n)
 	}
 	if hops := f.Route(0, 7, nil); len(hops) != 0 {
 		t.Errorf("flat route has %d hops, want 0", len(hops))
@@ -78,10 +82,10 @@ func TestFabricContentionGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	const wire = 4.0
-	tx := []*Resource{e.NewResource("tx0"), e.NewResource("tx1")}
-	rx := []*Resource{nil, nil, e.NewResource("rx2"), e.NewResource("rx3")}
+	tx := []ResID{e.NewResource("tx0"), e.NewResource("tx1")}
+	rx := []ResID{-1, -1, e.NewResource("rx2"), e.NewResource("rx3")}
 
-	send := func(from, to int64) *Activity {
+	send := func(from, to int64) ActID {
 		prev := e.NewActivity(tx[from], wire, "wire-tx")
 		for _, h := range f.Route(from, to, nil) {
 			a := e.NewActivity(h.Res, wire/h.BW+h.Latency, "hop")
@@ -99,20 +103,20 @@ func TestFabricContentionGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flow A: tx [0,4], up [4,7], down [7,10], rx [10,14].
-	if a.Start != 10 || a.End != 14 {
-		t.Errorf("flow A rx ran [%g,%g], want [10,14]", a.Start, a.End)
+	if e.Start(a) != 10 || e.End(a) != 14 {
+		t.Errorf("flow A rx ran [%g,%g], want [10,14]", e.Start(a), e.End(a))
 	}
 	// Flow B queues behind A on the shared uplink: tx [0,4], up [7,10]
 	// (3s of contention wait), down [10,13], rx [13,17].
-	if b.Start != 13 || b.End != 17 {
-		t.Errorf("flow B rx ran [%g,%g], want [13,17]", b.Start, b.End)
+	if e.Start(b) != 13 || e.End(b) != 17 {
+		t.Errorf("flow B rx ran [%g,%g], want [13,17]", e.Start(b), e.End(b))
 	}
 	if res.Makespan != 17 {
 		t.Errorf("makespan = %g, want 17", res.Makespan)
 	}
 	// The shared uplink carried both flows for 3s each.
 	up := f.up[0][0]
-	if up.BusyTime() != 6 {
-		t.Errorf("uplink busy time = %g, want 6", up.BusyTime())
+	if e.BusyTime(up) != 6 {
+		t.Errorf("uplink busy time = %g, want 6", e.BusyTime(up))
 	}
 }

@@ -26,10 +26,10 @@ func TestIntervalsMatchTrace(t *testing.T) {
 	}
 	for i, entry := range res.Trace {
 		got := iv[i]
-		if got.Res.Name != entry.Resource || got.Start != entry.Start ||
+		if e.ResName(got.Res) != entry.Resource || got.Start != entry.Start ||
 			got.End != entry.End || got.Ready != entry.Ready {
 			t.Errorf("interval %d = {%s %g [%g,%g]}, trace = {%s %g [%g,%g]}",
-				i, got.Res.Name, got.Ready, got.Start, got.End,
+				i, e.ResName(got.Res), got.Ready, got.Start, got.End,
 				entry.Resource, entry.Ready, entry.Start, entry.End)
 		}
 	}

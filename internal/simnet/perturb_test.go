@@ -23,8 +23,8 @@ func TestPerturbScalesDurations(t *testing.T) {
 	}
 
 	e.Reset()
-	e.SetPerturb(func(r *Resource, d float64) float64 {
-		if r.Name == "r1" {
+	e.SetPerturb(func(r ResID, d float64) float64 {
+		if e.ResName(r) == "r1" {
 			return 2 * d
 		}
 		return d
@@ -41,7 +41,7 @@ func TestPerturbScalesDurations(t *testing.T) {
 
 func TestResetClearsPerturb(t *testing.T) {
 	e := NewEngine()
-	e.SetPerturb(func(r *Resource, d float64) float64 { return 100 * d })
+	e.SetPerturb(func(r ResID, d float64) float64 { return 100 * d })
 	buildChain(e)
 	if res, err := e.Run(); err != nil || res.Makespan != 500 {
 		t.Fatalf("perturbed run: makespan %g err %v, want 500", res.Makespan, err)
@@ -64,7 +64,7 @@ func TestPerturbInvalidPanics(t *testing.T) {
 		}
 	}()
 	e := NewEngine()
-	e.SetPerturb(func(r *Resource, d float64) float64 { return -1 })
+	e.SetPerturb(func(r ResID, d float64) float64 { return -1 })
 	r := e.NewResource("r")
 	e.NewActivity(r, 1, "a")
 }

@@ -7,10 +7,10 @@ import "testing"
 func buildPipeline(e *Engine, n int) float64 {
 	cpu := e.NewResource("cpu")
 	nic := e.NewResource("nic")
-	var prev *Activity
+	var prev ActID
 	for i := 0; i < n; i++ {
 		c := e.NewActivity(cpu, 1, "c")
-		if prev != nil {
+		if prev != 0 {
 			e.AddDep(prev, c)
 		}
 		x := e.NewActivity(nic, 2, "x")
@@ -89,7 +89,7 @@ func TestKeepUtilizationOff(t *testing.T) {
 	if r.Utilization != nil {
 		t.Error("Utilization map built despite KeepUtilization(false)")
 	}
-	if cpu.BusyTime() != 3 {
-		t.Errorf("BusyTime = %g, want 3", cpu.BusyTime())
+	if e.BusyTime(cpu) != 3 {
+		t.Errorf("BusyTime = %g, want 3", e.BusyTime(cpu))
 	}
 }
