@@ -191,11 +191,11 @@ type slowKernel struct {
 	delay time.Duration
 }
 
-func (k slowKernel) Eval(j ilmath.Vec, get func(ilmath.Vec) float64) float64 {
+func (k slowKernel) Eval(j ilmath.Vec, pred []float64) float64 {
 	if j[0]%k.s1 == 0 {
 		time.Sleep(k.delay)
 	}
-	return k.Kernel.Eval(j, get)
+	return k.Kernel.Eval(j, pred)
 }
 
 // writeGrid dumps a gathered grid as big-endian float64s — the format the

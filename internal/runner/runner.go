@@ -140,6 +140,9 @@ func Run(c mp.Comm, cfg Config) (*Local, Stats, error) {
 	l.Data = make([]float64, (l.TI+1)*(l.TJ+1)*l.K)
 
 	r := &run{cfg: cfg, c: c, l: l}
+	r.ev = newEvalScratch(cfg.Kernel, func(d ilmath.Vec) int64 {
+		return (d[0]*(l.TJ+1)+d[1])*l.K + d[2]
+	})
 	if err := c.Barrier(); err != nil {
 		return nil, Stats{}, err
 	}
@@ -168,6 +171,7 @@ type run struct {
 	cfg   Config
 	c     mp.Comm
 	l     *Local
+	ev    evalScratch
 	stats Stats
 }
 
@@ -193,7 +197,7 @@ func (r *run) tileRange(t int64) (k0, v int64) {
 
 func (r *run) numTiles() int64 { return r.cfg.Grid.KTiles(r.cfg.V) }
 
-// packWestFace packs this rank's own east-most i-plane (li = TI−1) of the
+// packEastFace packs this rank's own east-most i-plane (li = TI−1) of the
 // given k range; it is the ghost plane the east neighbor needs.
 func (r *run) packEastFace(k0, v int64) []byte {
 	buf := make([]byte, 8*r.l.TJ*v)
@@ -240,38 +244,84 @@ func (r *run) unpackNorthGhost(buf []byte, k0, v int64) {
 	}
 }
 
-// computeTile evaluates the kernel over the local tile [k0, k0+v).
+// computeTile evaluates the kernel over the local tile [k0, k0+v) as a
+// dense loop over l.Data: li and lj outer, k innermost and contiguous, each
+// predecessor read at its precomputed flat offset. Only the points whose
+// predecessors can leave the space — k = 0, and the li = 0 / lj = 0 rows of
+// a rank without a west / north neighbor — take the boundary-checked path.
 func (r *run) computeTile(k0, v int64) {
-	l := r.l
-	b := r.cfg.Boundary
-	get := func(q ilmath.Vec) float64 {
-		li, lj, k := q[0]-l.BaseI, q[1]-l.BaseJ, q[2]
-		if k < 0 {
-			return b(q)
-		}
-		if li == -1 {
-			if r.hasWest() {
-				return l.At(-1, lj, k)
+	l, ev := r.l, &r.ev
+	data, off, pred, j := l.Data, ev.off, ev.pred[:len(ev.off)], ev.j
+	kern, b := r.cfg.Kernel, r.cfg.Boundary
+	for li := int64(0); li < l.TI; li++ {
+		j[0] = l.BaseI + li
+		for lj := int64(0); lj < l.TJ; lj++ {
+			j[1] = l.BaseJ + lj
+			p := l.idx(li, lj, k0)
+			k, edgeEnd := k0, k0
+			if (li == 0 && !r.hasWest()) || (lj == 0 && !r.hasNorth()) {
+				edgeEnd = k0 + v
+			} else if k0 == 0 {
+				edgeEnd = 1
 			}
-			return b(q)
-		}
-		if lj == -1 {
-			if r.hasNorth() {
-				return l.At(li, -1, k)
+			for ; k < edgeEnd; k, p = k+1, p+1 {
+				j[2] = k
+				for i, d := range ev.deps {
+					if k < d[2] || (li < d[0] && !r.hasWest()) || (lj < d[1] && !r.hasNorth()) {
+						pred[i] = ev.boundary(i, b)
+					} else {
+						pred[i] = data[p-off[i]]
+					}
+				}
+				data[p] = kern.Eval(j, pred)
 			}
-			return b(q)
-		}
-		return l.At(li, lj, k)
-	}
-	for k := k0; k < k0+v; k++ {
-		for li := int64(0); li < l.TI; li++ {
-			for lj := int64(0); lj < l.TJ; lj++ {
-				j := ilmath.V(l.BaseI+li, l.BaseJ+lj, k)
-				l.set(li, lj, k, r.cfg.Kernel.Eval(j, get))
+			for ; k < k0+v; k, p = k+1, p+1 {
+				j[2] = k
+				for i, o := range off {
+					pred[i] = data[p-o]
+				}
+				data[p] = kern.Eval(j, pred)
 			}
 		}
 	}
 	r.stats.Tiles++
+}
+
+// evalScratch is the per-run state of the allocation-free tile loops: the
+// kernel's dependences, one flat Data offset per dependence, and the point,
+// predecessor and boundary-query buffers handed to Kernel.Eval and Boundary.
+type evalScratch struct {
+	deps []ilmath.Vec
+	off  []int64
+	pred []float64
+	j, q ilmath.Vec
+}
+
+// newEvalScratch prepares the scratch for kernel k; offset maps a
+// dependence to the distance between a point and that predecessor in the
+// executor's flat local array.
+func newEvalScratch(k stencil.Kernel, offset func(d ilmath.Vec) int64) evalScratch {
+	ds := k.Deps().Vectors()
+	ev := evalScratch{
+		deps: ds,
+		off:  make([]int64, len(ds)),
+		pred: make([]float64, len(ds)),
+		j:    ilmath.NewVec(k.Deps().Dim()),
+		q:    ilmath.NewVec(k.Deps().Dim()),
+	}
+	for i, d := range ds {
+		ev.off[i] = offset(d)
+	}
+	return ev
+}
+
+// boundary returns b at predecessor j − deps[i] of the current point j.
+func (ev *evalScratch) boundary(i int, b stencil.Boundary) float64 {
+	d := ev.deps[i]
+	for x := range ev.q {
+		ev.q[x] = ev.j[x] - d[x]
+	}
+	return b(ev.q)
 }
 
 // runBlocking is ProcB: for each tile, blocking receives, compute, blocking
@@ -430,8 +480,8 @@ func Gather(c mp.Comm, cfg Config, l *Local) (*stencil.Grid, error) {
 	o := 0
 	for li := int64(0); li < l.TI; li++ {
 		for lj := int64(0); lj < l.TJ; lj++ {
-			for k := int64(0); k < l.K; k++ {
-				putF64(block[o:], l.At(li, lj, k))
+			for _, v := range l.Data[l.idx(li, lj, 0):][:l.K] {
+				putF64(block[o:], v)
 				o += 8
 			}
 		}
@@ -453,8 +503,9 @@ func Gather(c mp.Comm, cfg Config, l *Local) (*stencil.Grid, error) {
 		o := 0
 		for li := int64(0); li < l.TI; li++ {
 			for lj := int64(0); lj < l.TJ; lj++ {
-				for k := int64(0); k < l.K; k++ {
-					out.Set(ilmath.V(pi*l.TI+li, pj*l.TJ+lj, k), getF64(buf[o:]))
+				row := out.Data[((pi*l.TI+li)*g.J+pj*l.TJ+lj)*g.K:][:l.K]
+				for k := range row {
+					row[k] = getF64(buf[o:])
 					o += 8
 				}
 			}

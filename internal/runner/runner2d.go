@@ -131,6 +131,7 @@ func Run2D(c mp.Comm, cfg Config2D) (*Local2D, Stats, error) {
 		useWest: rank > 0,
 	}
 	r := &run2d{cfg: cfg, c: c, l: l}
+	r.ev = newEvalScratch(cfg.Kernel, func(d ilmath.Vec) int64 { return d[1]*l.I1 + d[0] })
 	if cfg.Checkpoint.Dir != "" {
 		removeOrphanTemps(cfg.Checkpoint.Dir, rank)
 	}
@@ -174,6 +175,7 @@ type run2d struct {
 	cfg   Config2D
 	c     mp.Comm
 	l     *Local2D
+	ev    evalScratch
 	stats Stats
 }
 
@@ -221,27 +223,42 @@ func (r *run2d) unpackWest(buf []byte, t int64) {
 	}
 }
 
+// computeTile evaluates the kernel over tile t's rows as a dense loop over
+// l.Data: columns outer, rows innermost and contiguous (every dependence is
+// non-negative in both dimensions, so any such order is legal), each
+// predecessor read at its precomputed flat offset. Only row 0 and, on the
+// rank without a west neighbor, column 0 take the boundary-checked path.
 func (r *run2d) computeTile(t int64) {
 	r0, h := r.cfg.tileRows(t)
-	l := r.l
-	b := r.cfg.Boundary
-	get := func(q ilmath.Vec) float64 {
-		i1, c := q[0], q[1]-l.Base2
-		if i1 < 0 || q[1] < 0 {
-			return b(q)
+	l, ev := r.l, &r.ev
+	data, off, pred, j := l.Data, ev.off, ev.pred[:len(ev.off)], ev.j
+	kern, b := r.cfg.Kernel, r.cfg.Boundary
+	for c := int64(0); c < l.Width; c++ {
+		j[1] = l.Base2 + c
+		p := l.idx(r0, c)
+		i1, edgeEnd := r0, r0
+		if c == 0 && !r.hasWest() {
+			edgeEnd = r0 + h
+		} else if r0 == 0 {
+			edgeEnd = 1
 		}
-		if c == -1 {
-			if r.hasWest() {
-				return l.At(i1, -1)
+		for ; i1 < edgeEnd; i1, p = i1+1, p+1 {
+			j[0] = i1
+			for i, d := range ev.deps {
+				if i1 < d[0] || (c < d[1] && !r.hasWest()) {
+					pred[i] = ev.boundary(i, b)
+				} else {
+					pred[i] = data[p-off[i]]
+				}
 			}
-			return b(q)
+			data[p] = kern.Eval(j, pred)
 		}
-		return l.At(i1, c)
-	}
-	for i1 := r0; i1 < r0+h; i1++ {
-		for c := int64(0); c < l.Width; c++ {
-			j := ilmath.V(i1, l.Base2+c)
-			l.set(i1, c, r.cfg.Kernel.Eval(j, get))
+		for ; i1 < r0+h; i1, p = i1+1, p+1 {
+			j[0] = i1
+			for i, o := range off {
+				pred[i] = data[p-o]
+			}
+			data[p] = kern.Eval(j, pred)
 		}
 	}
 	r.stats.Tiles++
@@ -355,11 +372,9 @@ func Gather2D(c mp.Comm, cfg Config2D, l *Local2D) (*stencil.Grid, error) {
 	block := make([]byte, blockLen)
 	putF64(block, float64(l.Width))
 	o := 8
-	for c2 := int64(0); c2 < l.Width; c2++ {
-		for i1 := int64(0); i1 < l.I1; i1++ {
-			putF64(block[o:], l.At(i1, c2))
-			o += 8
-		}
+	for _, v := range l.Data[l.idx(0, 0):] {
+		putF64(block[o:], v)
+		o += 8
 	}
 	blocks, err := mp.GatherBytes(c, 0, block)
 	if err != nil {
@@ -379,7 +394,7 @@ func Gather2D(c mp.Comm, cfg Config2D, l *Local2D) (*stencil.Grid, error) {
 		o := 8
 		for c2 := int64(0); c2 < width; c2++ {
 			for i1 := int64(0); i1 < cfg.I1; i1++ {
-				out.Set(ilmath.V(i1, base+c2), getF64(buf[o:]))
+				out.Data[i1*cfg.I2+base+c2] = getF64(buf[o:])
 				o += 8
 			}
 		}

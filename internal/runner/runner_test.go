@@ -250,7 +250,7 @@ func TestCustomBoundaryAndKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff > 1e-12 {
+	if diff != 0 {
 		t.Errorf("weighted kernel differs by %g", diff)
 	}
 }

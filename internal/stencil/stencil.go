@@ -15,10 +15,11 @@ type Kernel interface {
 	Name() string
 	// Deps returns the kernel's dependence set.
 	Deps() *deps.Set
-	// Eval computes the value at point j. get(q) returns the value at a
-	// dependence predecessor q = j − d (inside or outside the space; the
-	// executor resolves boundary reads).
-	Eval(j ilmath.Vec, get func(ilmath.Vec) float64) float64
+	// Eval computes the value at point j from its dependence predecessors:
+	// pred[i] is the value at j − Deps().At(i), already resolved by the
+	// executor (inside the space or from the boundary). j and pred are
+	// read-only scratch, valid only during the call.
+	Eval(j ilmath.Vec, pred []float64) float64
 }
 
 // Boundary supplies values for reads outside the iteration space. The
@@ -45,10 +46,8 @@ func (Sqrt3D) Name() string { return "sqrt3d" }
 func (Sqrt3D) Deps() *deps.Set { return deps.Stencil3D() }
 
 // Eval implements Kernel.
-func (Sqrt3D) Eval(j ilmath.Vec, get func(ilmath.Vec) float64) float64 {
-	return math.Sqrt(get(ilmath.V(j[0]-1, j[1], j[2]))) +
-		math.Sqrt(get(ilmath.V(j[0], j[1]-1, j[2]))) +
-		math.Sqrt(get(ilmath.V(j[0], j[1], j[2]-1)))
+func (Sqrt3D) Eval(_ ilmath.Vec, pred []float64) float64 {
+	return math.Sqrt(pred[0]) + math.Sqrt(pred[1]) + math.Sqrt(pred[2])
 }
 
 // Sum2D is the kernel of the paper's Example 1:
@@ -63,10 +62,8 @@ func (Sum2D) Name() string { return "sum2d" }
 func (Sum2D) Deps() *deps.Set { return deps.Example1Deps() }
 
 // Eval implements Kernel.
-func (Sum2D) Eval(j ilmath.Vec, get func(ilmath.Vec) float64) float64 {
-	return get(ilmath.V(j[0]-1, j[1]-1)) +
-		get(ilmath.V(j[0]-1, j[1])) +
-		get(ilmath.V(j[0], j[1]-1))
+func (Sum2D) Eval(_ ilmath.Vec, pred []float64) float64 {
+	return pred[0] + pred[1] + pred[2]
 }
 
 // Weighted is a generic uniform-dependence kernel: a weighted sum over the
@@ -97,10 +94,9 @@ func (w *Weighted) Name() string { return w.KernelName }
 func (w *Weighted) Deps() *deps.Set { return w.D }
 
 // Eval implements Kernel.
-func (w *Weighted) Eval(j ilmath.Vec, get func(ilmath.Vec) float64) float64 {
+func (w *Weighted) Eval(_ ilmath.Vec, pred []float64) float64 {
 	var s float64
-	for i := 0; i < w.D.Len(); i++ {
-		v := get(j.Sub(w.D.At(i)))
+	for i, v := range pred {
 		if w.UseSqrt {
 			v = math.Sqrt(math.Abs(v))
 		}
@@ -129,7 +125,10 @@ func (g *Grid) Set(j ilmath.Vec, v float64) { g.Data[g.Space.Linearize(j)] = v }
 
 // RunSequential executes the kernel over the whole space in lexicographic
 // (sequential loop) order — the reference semantics every parallel schedule
-// must reproduce exactly.
+// must reproduce exactly. It is deliberately the plain point-by-point
+// definition: each predecessor j − d is tested with Space.Contains and read
+// through Grid.At or the boundary, with no tiling and no flat offsets, so it
+// stays an independent oracle of the executors' index arithmetic.
 func RunSequential(s *space.Space, k Kernel, b Boundary) (*Grid, error) {
 	if s.Dim() != k.Deps().Dim() {
 		return nil, fmt.Errorf("stencil: kernel %s has dimension %d, space has %d",
@@ -139,14 +138,21 @@ func RunSequential(s *space.Space, k Kernel, b Boundary) (*Grid, error) {
 		b = ConstBoundary(1)
 	}
 	g := NewGrid(s)
-	get := func(q ilmath.Vec) float64 {
-		if s.Contains(q) {
-			return g.At(q)
-		}
-		return b(q)
-	}
+	ds := k.Deps().Vectors()
+	pred := make([]float64, len(ds))
+	q := ilmath.NewVec(s.Dim())
 	s.Points(func(j ilmath.Vec) bool {
-		g.Set(j, k.Eval(j, get))
+		for i, d := range ds {
+			for x := range q {
+				q[x] = j[x] - d[x]
+			}
+			if s.Contains(q) {
+				pred[i] = g.At(q)
+			} else {
+				pred[i] = b(q)
+			}
+		}
+		g.Set(j, k.Eval(j, pred))
 		return true
 	})
 	return g, nil
