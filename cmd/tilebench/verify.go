@@ -16,11 +16,11 @@ import (
 // instead of hanging CI forever (the blockingdeadline contract).
 const verifyDeadline = 2 * time.Minute
 
-// runVerify executes both real executors (the 3-D grid and the 2-D strip)
-// in both modes on the in-process fabric — including a pure-rendezvous
-// pass — and checks every result bit-exact against a sequential run. This
-// is the operational proof that the schedules the benchmarks time are
-// *correct* schedules.
+// runVerify executes the real executor on both grids (the paper's 3-D
+// grid and Example 1's 2-D strip) under both schedules and both transports
+// (eager and pure rendezvous) on the in-process fabric, and checks every
+// result bit-exact against a sequential run. This is the operational proof
+// that the schedules the benchmarks time are *correct* schedules.
 func runVerify() error {
 	fmt.Println("verify: real execution vs sequential reference")
 
@@ -29,62 +29,60 @@ func runVerify() error {
 		V:      32,
 		Kernel: stencil.Sqrt3D{},
 	}
+	cfg2 := runner.Config2D{I1: 400, I2: 120, S1: 10, Kernel: stencil.Sum2D{}}
 	if *quick {
 		cfg3.Grid.K = 128
 		cfg3.V = 16
-	}
-	for _, mode := range []runner.Mode{runner.Blocking, runner.Overlapped} {
-		for _, opts := range []struct {
-			name string
-			w    mp.WorldOptions
-		}{
-			{"eager", mp.WorldOptions{RendezvousThreshold: -1, Deadline: verifyDeadline}},
-			{"rendezvous", mp.WorldOptions{RendezvousThreshold: 0, Deadline: verifyDeadline}},
-		} {
-			cfg3.Mode = mode
-			diff, elapsed, err := verify3D(cfg3, opts.w)
-			if err != nil {
-				return err
-			}
-			status := "OK"
-			if diff != 0 {
-				status = fmt.Sprintf("FAIL (max |Δ| = %g)", diff)
-			}
-			fmt.Printf("  3-D %-10s %-10s %dx%dx%d V=%d  %8v  %s\n",
-				mode, opts.name, cfg3.Grid.I, cfg3.Grid.J, cfg3.Grid.K, cfg3.V,
-				elapsed.Round(time.Millisecond), status)
-			if diff != 0 {
-				return fmt.Errorf("3-D %v/%s verification failed", mode, opts.name)
-			}
-		}
-	}
-
-	cfg2 := runner.Config2D{I1: 400, I2: 120, S1: 10, Kernel: stencil.Sum2D{}}
-	if *quick {
 		cfg2.I1 = 100
 	}
-	for _, mode := range []runner.Mode{runner.Blocking, runner.Overlapped} {
-		cfg2.Mode = mode
-		diff, elapsed, err := verify2D(cfg2, 6)
-		if err != nil {
-			return err
-		}
-		status := "OK"
-		if diff != 0 {
-			status = fmt.Sprintf("FAIL (max |Δ| = %g)", diff)
-		}
-		fmt.Printf("  2-D %-10s %-10s %dx%d S1=%d      %8v  %s\n",
-			mode, "eager", cfg2.I1, cfg2.I2, cfg2.S1, elapsed.Round(time.Millisecond), status)
-		if diff != 0 {
-			return fmt.Errorf("2-D %v verification failed", mode)
+	grids := []struct {
+		name, shape string
+		check       func(mode runner.Mode, w mp.WorldOptions) (float64, time.Duration, error)
+	}{
+		{"3-D", fmt.Sprintf("%dx%dx%d V=%d", cfg3.Grid.I, cfg3.Grid.J, cfg3.Grid.K, cfg3.V),
+			func(mode runner.Mode, w mp.WorldOptions) (float64, time.Duration, error) {
+				cfg3.Mode = mode
+				return verifyRun(int(cfg3.Grid.PI*cfg3.Grid.PJ), cfg3, w)
+			}},
+		{"2-D", fmt.Sprintf("%dx%d S1=%d", cfg2.I1, cfg2.I2, cfg2.S1),
+			func(mode runner.Mode, w mp.WorldOptions) (float64, time.Duration, error) {
+				cfg2.Mode = mode
+				return verifyRun(6, cfg2, w)
+			}},
+	}
+	transports := []struct {
+		name string
+		w    mp.WorldOptions
+	}{
+		{"eager", mp.WorldOptions{RendezvousThreshold: -1, Deadline: verifyDeadline}},
+		{"rendezvous", mp.WorldOptions{RendezvousThreshold: 0, Deadline: verifyDeadline}},
+	}
+	for _, g := range grids {
+		for _, mode := range []runner.Mode{runner.Blocking, runner.Overlapped} {
+			for _, tr := range transports {
+				diff, elapsed, err := g.check(mode, tr.w)
+				if err != nil {
+					return err
+				}
+				status := "OK"
+				if diff != 0 {
+					status = fmt.Sprintf("FAIL (max |Δ| = %g)", diff)
+				}
+				fmt.Printf("  %s %-10s %-10s %-16s %8v  %s\n",
+					g.name, mode, tr.name, g.shape, elapsed.Round(time.Millisecond), status)
+				if diff != 0 {
+					return fmt.Errorf("%s %v/%s verification failed", g.name, mode, tr.name)
+				}
+			}
 		}
 	}
 	fmt.Println()
 	return nil
 }
 
-func verify3D(cfg runner.Config, opts mp.WorldOptions) (float64, time.Duration, error) {
-	n := int(cfg.Grid.PI * cfg.Grid.PJ)
+// verifyRun runs cfg on n in-process ranks and returns the gathered grid's
+// distance from the sequential reference and the slowest rank's time.
+func verifyRun[C runner.Config | runner.Config2D](n int, cfg C, opts mp.WorldOptions) (float64, time.Duration, error) {
 	var grid *stencil.Grid
 	var elapsed time.Duration
 	var mu sync.Mutex
@@ -111,35 +109,5 @@ func verify3D(cfg runner.Config, opts mp.WorldOptions) (float64, time.Duration, 
 		return 0, 0, err
 	}
 	diff, err := runner.VerifySequential(grid, cfg)
-	return diff, elapsed, err
-}
-
-func verify2D(cfg runner.Config2D, ranks int) (float64, time.Duration, error) {
-	var grid *stencil.Grid
-	var elapsed time.Duration
-	var mu sync.Mutex
-	err := mp.LaunchOpts(ranks, mp.WorldOptions{RendezvousThreshold: -1, Deadline: verifyDeadline}, func(c mp.Comm) error {
-		l, st, err := runner.Run2D(c, cfg)
-		if err != nil {
-			return err
-		}
-		g, err := runner.Gather2D(c, cfg, l)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		if st.Elapsed > elapsed {
-			elapsed = st.Elapsed
-		}
-		if c.Rank() == 0 {
-			grid = g
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	diff, err := runner.VerifySequential2D(grid, cfg)
 	return diff, elapsed, err
 }

@@ -209,15 +209,31 @@ func TestChild2DSpawn(t *testing.T) {
 	}
 }
 
-// TestChaosSupervised is the self-healing drill the supervisor exists for:
-// a 2-rank supervised run has its victim rank SIGKILLed three times, each
-// at a later checkpoint frontier, and must still finish without operator
-// input — final grid byte-identical to a fault-free baseline — while the
-// recovery metrics report every incident.
+// TestChaosSupervised is the self-healing drill the supervisor exists for,
+// on the 2-D strip and on the paper's 3-D grid: a 2-rank supervised run
+// has its victim rank SIGKILLed three times, each at a later checkpoint
+// frontier, and must still finish without operator input — final grid
+// byte-identical to a fault-free baseline — while the recovery metrics
+// report every incident.
 func TestChaosSupervised(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
 	}
+	for _, sh := range []struct {
+		name  string
+		shape []string
+		delay string // -tile-delay: each tile sleeps once per row
+	}{
+		{"2d", []string{"-shape", "2d", "-space2d", "40x4", "-s1", "2", "-ranks", "2"}, "10ms"},
+		{"3d", []string{"-shape", "3d", "-space", "4x4x64", "-procs", "2x1", "-v", "4"}, "4ms"},
+	} {
+		t.Run(sh.name, func(t *testing.T) {
+			testChaosSupervised(t, append(sh.shape, "-mode", "overlapped", "-verify=false"), sh.delay)
+		})
+	}
+}
+
+func testChaosSupervised(t *testing.T, shape []string, delay string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
 	dir := t.TempDir()
@@ -228,10 +244,6 @@ func TestChaosSupervised(t *testing.T) {
 	baseGrid := filepath.Join(dir, "base.bin")
 	healedGrid := filepath.Join(dir, "healed.bin")
 	snap := filepath.Join(dir, "metrics.json")
-	shape := []string{
-		"-shape", "2d", "-space2d", "40x4", "-s1", "2", "-ranks", "2",
-		"-mode", "overlapped", "-verify=false",
-	}
 
 	out, err := child(ctx, append(shape, "-spawn", "-grid-out", baseGrid)...).CombinedOutput()
 	if err != nil {
@@ -240,7 +252,7 @@ func TestChaosSupervised(t *testing.T) {
 
 	out, err = child(ctx, append(shape,
 		"-supervise", "-checkpoint-dir", ckDir, "-checkpoint-every", "2",
-		"-tile-delay", "10ms", "-heartbeat", "50ms", "-deadline", "10s",
+		"-tile-delay", delay, "-heartbeat", "50ms", "-deadline", "10s",
 		"-max-restarts", "3", "-restart-backoff", "50ms",
 		"-chaos-kills", "3", "-chaos-victim", "1",
 		"-grid-out", healedGrid, "-metrics-snapshot", snap,

@@ -21,16 +21,19 @@
 //	tilenode -spawn -space 8x8x1024 -procs 2x2 -v 64 \
 //	         -metrics-addr :8080 -metrics-snapshot metrics.json
 //
-// The 2-D executor (-shape 2d) additionally supports failure handling:
-// -deadline bounds every blocking wait, -heartbeat starts the liveness
-// probe that aborts the world when a peer goes silent, and
-// -checkpoint-dir/-checkpoint-every/-restore give deterministic
-// checkpoint/restart — a run killed partway can be resumed and produces a
-// bit-identical grid:
+// -shape 2d runs the paper's Example 1 strip instead (-space2d, -s1,
+// -ranks). Both shapes support failure handling: -deadline bounds every
+// blocking wait, -heartbeat starts the liveness probe that aborts the world
+// when a peer goes silent, and -checkpoint-dir/-checkpoint-every/-restore
+// give deterministic checkpoint/restart — a run killed partway can be
+// resumed and produces a bit-identical grid:
 //
-//	tilenode -rank 0 -addrs ... -shape 2d -space2d 512x64 -s1 16 -ranks 4 \
+//	tilenode -rank 0 -addrs ... -space 8x8x1024 -procs 2x2 -v 64 \
 //	         -deadline 10s -heartbeat 1s \
 //	         -checkpoint-dir /tmp/ck -checkpoint-every 4 -restore
+//
+// -supervise (supervise.go) owns the rank processes and restarts them
+// from those checkpoints automatically.
 package main
 
 import (
@@ -57,7 +60,7 @@ var (
 	rankFlag  = flag.Int("rank", -1, "this process's rank (with -addrs)")
 	addrsFlag = flag.String("addrs", "", "comma-separated host:port per rank")
 	spawnFlag = flag.Bool("spawn", false, "run all ranks in-process over loopback TCP")
-	shapeFlag = flag.String("shape", "3d", "3d | 2d (which executor to run)")
+	shapeFlag = flag.String("shape", "3d", "3d | 2d (the paper's 3-D grid or Example 1's 2-D strip)")
 	spaceFlag = flag.String("space", "8x8x1024", "iteration space IxJxK (with -shape 3d)")
 	procsFlag = flag.String("procs", "2x2", "processor grid PIxPJ (with -shape 3d)")
 	vFlag     = flag.Int64("v", 64, "tile height along k (with -shape 3d)")
@@ -70,9 +73,9 @@ var (
 
 	deadlineFlag  = flag.Duration("deadline", 0, "bound every blocking wait (0 = forever)")
 	heartbeatFlag = flag.Duration("heartbeat", 0, "liveness probe interval (0 = off)")
-	ckDirFlag     = flag.String("checkpoint-dir", "", "directory for tile-frontier snapshots (2d only)")
-	ckEveryFlag   = flag.Int64("checkpoint-every", 0, "snapshot every N tiles (2d only, 0 = off)")
-	restoreFlag   = flag.Bool("restore", false, "resume from the newest usable snapshot (2d only)")
+	ckDirFlag     = flag.String("checkpoint-dir", "", "directory for tile-frontier snapshots")
+	ckEveryFlag   = flag.Int64("checkpoint-every", 0, "snapshot every N tiles (0 = off)")
+	restoreFlag   = flag.Bool("restore", false, "resume from the newest usable snapshot")
 	gridOutFlag   = flag.String("grid-out", "", "rank 0 writes the gathered grid (big-endian float64) here")
 	tileDelay     = flag.Duration("tile-delay", 0, "slow each tile row by this much (chaos testing)")
 
@@ -90,43 +93,33 @@ func main() {
 	}
 }
 
-func parse3(s string) (a, b, c int64, err error) {
+// parseDims parses an "AxBx…" list of n extents.
+func parseDims(s string, n int) ([]int64, error) {
 	p := strings.Split(s, "x")
-	if len(p) != 3 {
-		return 0, 0, 0, fmt.Errorf("want IxJxK, got %q", s)
+	if len(p) != n {
+		return nil, fmt.Errorf("want %d x-separated extents, got %q", n, s)
 	}
-	vs := make([]int64, 3)
+	vs := make([]int64, n)
 	for i := range p {
+		var err error
 		if vs[i], err = strconv.ParseInt(p[i], 10, 64); err != nil {
-			return 0, 0, 0, err
+			return nil, err
 		}
 	}
-	return vs[0], vs[1], vs[2], nil
+	return vs, nil
 }
 
-func parse2(s string) (a, b int64, err error) {
-	p := strings.Split(s, "x")
-	if len(p) != 2 {
-		return 0, 0, fmt.Errorf("want PIxPJ, got %q", s)
-	}
-	if a, err = strconv.ParseInt(p[0], 10, 64); err != nil {
-		return 0, 0, err
-	}
-	if b, err = strconv.ParseInt(p[1], 10, 64); err != nil {
-		return 0, 0, err
-	}
-	return a, b, nil
+// job is the configured run: its rank count, the tiles each rank executes
+// and the per-rank entry point.
+type job struct {
+	ranks int
+	tiles int64
+	rank  func(c mp.Comm) error
 }
 
-func buildConfig() (runner.Config, error) {
-	i, j, k, err := parse3(*spaceFlag)
-	if err != nil {
-		return runner.Config{}, err
-	}
-	pi, pj, err := parse2(*procsFlag)
-	if err != nil {
-		return runner.Config{}, err
-	}
+// buildJob reads the shape flags; the mode, checkpoint and -tile-delay
+// flags apply to both shapes.
+func buildJob() (job, error) {
 	var mode runner.Mode
 	switch *modeFlag {
 	case "blocking":
@@ -134,65 +127,65 @@ func buildConfig() (runner.Config, error) {
 	case "overlapped":
 		mode = runner.Overlapped
 	default:
-		return runner.Config{}, fmt.Errorf("unknown mode %q", *modeFlag)
+		return job{}, fmt.Errorf("unknown mode %q", *modeFlag)
 	}
-	return runner.Config{
-		Grid:   model.Grid3D{I: i, J: j, K: k, PI: pi, PJ: pj},
-		V:      *vFlag,
-		Kernel: stencil.Sqrt3D{},
-		Mode:   mode,
-	}, nil
+	ck := runner.CheckpointConfig{Dir: *ckDirFlag, Every: *ckEveryFlag, Restore: *restoreFlag}
+	switch *shapeFlag {
+	case "3d":
+		ijk, err := parseDims(*spaceFlag, 3)
+		if err != nil {
+			return job{}, err
+		}
+		p, err := parseDims(*procsFlag, 2)
+		if err != nil {
+			return job{}, err
+		}
+		cfg := runner.Config{
+			Grid: model.Grid3D{I: ijk[0], J: ijk[1], K: ijk[2], PI: p[0], PJ: p[1]},
+			V:    *vFlag, Kernel: slow(stencil.Sqrt3D{}, 2, *vFlag), Mode: mode, Checkpoint: ck,
+		}
+		n := int(p[0] * p[1])
+		if err := cfg.Validate(n); err != nil {
+			return job{}, err
+		}
+		return job{n, cfg.Grid.KTiles(cfg.V), func(c mp.Comm) error { return rankMain(c, cfg) }}, nil
+	case "2d":
+		ii, err := parseDims(*space2Flag, 2)
+		if err != nil {
+			return job{}, err
+		}
+		cfg := runner.Config2D{
+			I1: ii[0], I2: ii[1], S1: *s1Flag,
+			Kernel: slow(stencil.Sum2D{}, 0, *s1Flag), Mode: mode, Checkpoint: ck,
+		}
+		if err := cfg.Validate(*ranksFlag); err != nil {
+			return job{}, err
+		}
+		return job{*ranksFlag, (cfg.I1 + cfg.S1 - 1) / cfg.S1, func(c mp.Comm) error { return rankMain(c, cfg) }}, nil
+	}
+	return job{}, fmt.Errorf("unknown shape %q", *shapeFlag)
 }
 
-func buildConfig2D() (runner.Config2D, error) {
-	p := strings.Split(*space2Flag, "x")
-	if len(p) != 2 {
-		return runner.Config2D{}, fmt.Errorf("want I1xI2, got %q", *space2Flag)
+// slow stretches a run out for chaos testing when -tile-delay is set:
+// every evaluation on a tile's first point along the tiled dimension dim
+// sleeps, so each tile costs at least its row count × delay and a SIGKILL
+// can be aimed mid-run instead of racing a sub-millisecond finish.
+func slow(k stencil.Kernel, dim int, tile int64) stencil.Kernel {
+	if *tileDelay <= 0 {
+		return k
 	}
-	i1, err := strconv.ParseInt(p[0], 10, 64)
-	if err != nil {
-		return runner.Config2D{}, err
-	}
-	i2, err := strconv.ParseInt(p[1], 10, 64)
-	if err != nil {
-		return runner.Config2D{}, err
-	}
-	var mode runner.Mode
-	switch *modeFlag {
-	case "blocking":
-		mode = runner.Blocking
-	case "overlapped":
-		mode = runner.Overlapped
-	default:
-		return runner.Config2D{}, fmt.Errorf("unknown mode %q", *modeFlag)
-	}
-	var kernel stencil.Kernel = stencil.Sum2D{}
-	if *tileDelay > 0 {
-		kernel = slowKernel{Kernel: kernel, s1: *s1Flag, delay: *tileDelay}
-	}
-	return runner.Config2D{
-		I1: i1, I2: i2, S1: *s1Flag,
-		Kernel: kernel,
-		Mode:   mode,
-		Checkpoint: runner.CheckpointConfig{
-			Dir:     *ckDirFlag,
-			Every:   *ckEveryFlag,
-			Restore: *restoreFlag,
-		},
-	}, nil
+	return slowKernel{Kernel: k, dim: dim, tile: tile, delay: *tileDelay}
 }
 
-// slowKernel stretches a run out for chaos testing: every evaluation on a
-// tile's first row sleeps, so each tile costs at least width×delay and a
-// SIGKILL can be aimed mid-run instead of racing a sub-millisecond finish.
 type slowKernel struct {
 	stencil.Kernel
-	s1    int64
+	dim   int
+	tile  int64
 	delay time.Duration
 }
 
 func (k slowKernel) Eval(j ilmath.Vec, pred []float64) float64 {
-	if j[0]%k.s1 == 0 {
+	if j[k.dim]%k.tile == 0 {
 		time.Sleep(k.delay)
 	}
 	return k.Kernel.Eval(j, pred)
@@ -208,26 +201,29 @@ func writeGrid(path string, g *stencil.Grid) error {
 	return os.WriteFile(path, buf, 0o644)
 }
 
-func rankMain2D(c mp.Comm, cfg runner.Config2D, obsv *observer) error {
-	local, stats, err := runner.Run2D(c, cfg)
+// rankMain runs one rank of either shape. Rank 0 prints the summary line,
+// verifies the gathered grid and writes it to -grid-out.
+func rankMain[C runner.Config | runner.Config2D](c mp.Comm, cfg C) error {
+	local, stats, err := runner.Run(c, cfg)
 	if err != nil {
 		return err
 	}
-	if m := obsv.metrics(c.Rank()); m != nil {
+	if m := theObserver.metrics(c.Rank()); m != nil {
 		m.RecordCheckpoints(stats.Checkpoints, stats.CheckpointBytes)
 	}
-	grid, err := runner.Gather2D(c, cfg, local)
-	if err != nil {
+	grid, err := runner.Gather(c, cfg, local)
+	if err != nil || c.Rank() != 0 {
 		return err
 	}
-	if c.Rank() != 0 {
-		return nil
+	shape := fmt.Sprintf("space=%s procs=%s V=%d", *spaceFlag, *procsFlag, *vFlag)
+	if *shapeFlag == "2d" {
+		shape = fmt.Sprintf("space2d=%s s1=%d", *space2Flag, *s1Flag)
 	}
-	fmt.Printf("mode=%s space2d=%s s1=%d elapsed=%v tiles=%d sent=%d msgs (%d bytes) checkpoints=%d\n",
-		cfg.Mode, *space2Flag, cfg.S1, stats.Elapsed.Round(time.Microsecond),
+	fmt.Printf("mode=%s %s elapsed=%v tiles=%d sent=%d msgs (%d bytes) checkpoints=%d\n",
+		*modeFlag, shape, stats.Elapsed.Round(time.Microsecond),
 		stats.Tiles, stats.MsgsSent, stats.BytesSent, stats.Checkpoints)
 	if *verify {
-		diff, err := runner.VerifySequential2D(grid, cfg)
+		diff, err := runner.VerifySequential(grid, cfg)
 		if err != nil {
 			return err
 		}
@@ -238,34 +234,6 @@ func rankMain2D(c mp.Comm, cfg runner.Config2D, obsv *observer) error {
 	}
 	if *gridOutFlag != "" {
 		return writeGrid(*gridOutFlag, grid)
-	}
-	return nil
-}
-
-func rankMain(c mp.Comm, cfg runner.Config) error {
-	local, stats, err := runner.Run(c, cfg)
-	if err != nil {
-		return err
-	}
-	grid, err := runner.Gather(c, cfg, local)
-	if err != nil {
-		return err
-	}
-	if c.Rank() != 0 {
-		return nil
-	}
-	fmt.Printf("mode=%s space=%s procs=%s V=%d elapsed=%v tiles=%d sent=%d msgs (%d bytes)\n",
-		cfg.Mode, *spaceFlag, *procsFlag, cfg.V, stats.Elapsed.Round(time.Microsecond),
-		stats.Tiles, stats.MsgsSent, stats.BytesSent)
-	if *verify {
-		diff, err := runner.VerifySequential(grid, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("verification: max |parallel - sequential| = %g\n", diff)
-		if diff != 0 {
-			return fmt.Errorf("verification failed")
-		}
 	}
 	return nil
 }
@@ -371,13 +339,13 @@ func newObserver(addr, snap string) (*observer, error) {
 	}
 	o := &observer{reg: obs.NewRegistry(), snap: snap, ms: make(map[int]*obs.CommMetrics)}
 	if addr != "" {
-		bound, stop, err := o.reg.Serve(addr)
+		srv, err := o.reg.Start(addr)
 		if err != nil {
 			return nil, err
 		}
-		o.bound = bound
-		o.shutdown = stop
-		fmt.Fprintf(os.Stderr, "tilenode: metrics on http://%s/debug/vars\n", bound)
+		o.bound = srv.Addr
+		o.shutdown = srv.Close
+		fmt.Fprintf(os.Stderr, "tilenode: metrics on http://%s/debug/vars\n", srv.Addr)
 	}
 	return o, nil
 }
@@ -441,39 +409,23 @@ func run() error {
 	if *superviseFlag {
 		return superviseMain()
 	}
-	var n int
-	var rankFn func(c mp.Comm) error
-	switch *shapeFlag {
-	case "3d":
-		cfg, err := buildConfig()
-		if err != nil {
-			return err
-		}
-		n = int(cfg.Grid.PI * cfg.Grid.PJ)
-		rankFn = func(c mp.Comm) error { return rankMain(c, cfg) }
-	case "2d":
-		cfg, err := buildConfig2D()
-		if err != nil {
-			return err
-		}
-		n = *ranksFlag
-		rankFn = func(c mp.Comm) error { return rankMain2D(c, cfg, theObserver) }
-	default:
-		return fmt.Errorf("unknown shape %q", *shapeFlag)
+	j, err := buildJob()
+	if err != nil {
+		return err
 	}
 	obsv, err := newObserver(*metricsAddr, *metricsSnap)
 	if err != nil {
 		return err
 	}
 	theObserver = obsv
-	err = runRanks(n, obsv, rankFn)
+	err = runRanks(j.ranks, obsv, j.rank)
 	if ferr := obsv.finish(); err == nil {
 		err = ferr
 	}
 	return err
 }
 
-// theObserver is the process-wide observer; rankMain2D reads it to report
+// theObserver is the process-wide observer; rankMain reads it to report
 // checkpoint counters. Set once in run() before any rank starts.
 var theObserver *observer
 

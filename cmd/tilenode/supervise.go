@@ -7,9 +7,12 @@
 // persistently failing rank converges to a clean typed failure instead of
 // a restart loop.
 //
-//	tilenode -supervise -shape 2d -space2d 512x64 -s1 16 -ranks 4 \
+//	tilenode -supervise -space 8x8x1024 -procs 2x2 -v 64 \
 //	         -heartbeat 200ms -deadline 10s \
 //	         -checkpoint-dir /tmp/ck -checkpoint-every 4
+//
+// Both shapes are supervised the same way; -shape 2d supervises the
+// Example 1 strip instead of the paper's 3-D grid.
 //
 // The -chaos-kills drill SIGKILLs -chaos-victim that many times, each at a
 // later checkpoint frontier, and the run must still finish with a grid
@@ -32,7 +35,7 @@ import (
 
 var (
 	superviseFlag = flag.Bool("supervise", false,
-		"supervise one OS process per rank with automatic restart+restore (2d only; needs -checkpoint-dir/-checkpoint-every)")
+		"supervise one OS process per rank with automatic restart+restore (needs -checkpoint-dir/-checkpoint-every)")
 	epochFlag = flag.Uint("epoch", 0,
 		"world epoch stamped into the transport handshake (set per epoch by -supervise)")
 	maxRestartsFlag = flag.Int("max-restarts", 3,
@@ -49,28 +52,21 @@ var (
 )
 
 func superviseMain() error {
-	if *shapeFlag != "2d" {
-		return fmt.Errorf("-supervise requires -shape 2d (the checkpointing executor)")
-	}
 	if *spawnFlag || *rankFlag >= 0 {
 		return fmt.Errorf("-supervise replaces -spawn/-rank: it launches one process per rank itself")
 	}
 	if *ckDirFlag == "" || *ckEveryFlag <= 0 {
 		return fmt.Errorf("-supervise needs -checkpoint-dir and -checkpoint-every: recovery restores from snapshots")
 	}
-	cfg, err := buildConfig2D()
+	j, err := buildJob()
 	if err != nil {
 		return err
 	}
-	n := *ranksFlag
-	if n <= 0 {
-		return fmt.Errorf("-ranks must be positive, got %d", n)
-	}
+	n, tilesPerRank := j.ranks, j.tiles
 	if *chaosKillsFlag > 0 && (*chaosVictimFlag < 0 || *chaosVictimFlag >= n) {
 		return fmt.Errorf("-chaos-victim %d out of range [0,%d)", *chaosVictimFlag, n)
 	}
 
-	tilesPerRank := (cfg.I1 + cfg.S1 - 1) / cfg.S1
 	rec := obs.NewRecoveryMetrics(n, int64(n)*tilesPerRank)
 	var reg *obs.Registry
 	if *metricsAddr != "" || *metricsSnap != "" {
@@ -201,10 +197,9 @@ func childArgs(sp supervise.Spec, addrs []string) []string {
 	args := []string{
 		"-rank", fmt.Sprint(sp.Rank),
 		"-addrs", strings.Join(addrs, ","),
-		"-shape", "2d",
-		"-space2d", *space2Flag,
-		"-s1", fmt.Sprint(*s1Flag),
-		"-ranks", fmt.Sprint(*ranksFlag),
+		"-shape", *shapeFlag,
+		"-space", *spaceFlag, "-procs", *procsFlag, "-v", fmt.Sprint(*vFlag),
+		"-space2d", *space2Flag, "-s1", fmt.Sprint(*s1Flag), "-ranks", fmt.Sprint(*ranksFlag),
 		"-mode", *modeFlag,
 		fmt.Sprintf("-verify=%v", *verify),
 		"-epoch", fmt.Sprint(sp.Epoch),

@@ -174,11 +174,12 @@ func TestRegistryServe(t *testing.T) {
 	for _, m := range metrics {
 		reg.Register(m)
 	}
-	addr, shutdown, err := reg.Serve("127.0.0.1:0")
+	srv, err := reg.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer shutdown()
+	defer srv.Close()
+	addr := srv.Addr
 
 	get := func(path string) []byte {
 		t.Helper()

@@ -137,21 +137,21 @@ func TestStartShutdown(t *testing.T) {
 	}
 }
 
-// TestServeCompat: the legacy Serve form still returns a working address
-// and stop function (cmd/tilenode depends on it).
-func TestServeCompat(t *testing.T) {
+// TestStartClose: Start serves /debug/vars and Close stops the server
+// abruptly (the form cmd/tilenode uses at teardown).
+func TestStartClose(t *testing.T) {
 	reg := NewRegistry()
-	addr, stop, err := reg.Serve("127.0.0.1:0")
+	srv, err := reg.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(fmt.Sprintf("http://%s/debug/vars", addr))
+	resp, err := http.Get(fmt.Sprintf("http://%s/debug/vars", srv.Addr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if err := stop(); err != nil {
-		t.Fatalf("stop: %v", err)
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 }
 

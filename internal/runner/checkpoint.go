@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,10 +14,10 @@ import (
 	"repro/internal/mp"
 )
 
-// Checkpoint/restart for the 2-D executor.
+// Checkpoint/restart for the shared executor, on both grids.
 //
 // Every rank snapshots its full tile-frontier state — the local block
-// including the ghost column, plus the index of the next tile to execute —
+// including the ghost layers, plus the index of the next tile to execute —
 // at deterministic tile boundaries (after tile t whenever (t+1) is a
 // multiple of Every). All generations are kept, so after a crash the ranks
 // can agree on the highest boundary every one of them reached: restore
@@ -29,37 +30,34 @@ import (
 //
 //	offset  size  field
 //	0       4     magic "TLCP"
-//	4       4     version (currently 1)
+//	4       4     version (currently 2)
 //	8       4     CRC-32 (IEEE) over bytes [12, EOF)
-//	12      4     rank
-//	16      4     comm size
-//	20      8     I1
-//	28      8     I2
-//	36      8     S1
-//	44      8     Base2
-//	52      8     Width
-//	60      8     next tile index
-//	68      8     payload length (must be 8×(Width+1)×I1)
-//	76      —     payload: Local2D.Data as big-endian float64
+//	12      4     G, the number of geometry words
+//	16      8·G   geometry: rank, comm size, tiled dimension, its extent,
+//	              tile size, corner rows, then per processor-mapped
+//	              dimension its space dimension, extent, base and width
+//	16+8G   8     next tile index
+//	24+8G   8     payload length (must be 8×len(Local.Data))
+//	32+8G   —     payload: Local.Data as big-endian float64
 //
 // Files are written to a temporary name and renamed into place, so a crash
 // mid-write can never leave a truncated file under a valid checkpoint name;
-// the CRC catches every other corruption.
+// the CRC catches every other corruption. Version-1 files (the 2-D-only
+// layout) are rejected like any other mismatch.
 
 const (
 	ckMagic   = "TLCP"
-	ckVersion = 1
-	ckHdrLen  = 76
+	ckVersion = 2
 )
 
-// CheckpointConfig enables periodic snapshots and restart for Run2D.
+// CheckpointConfig enables periodic snapshots and restart.
 type CheckpointConfig struct {
 	// Dir is the directory checkpoint files are written to (shared or
 	// per-rank; file names embed the rank). Empty disables checkpointing.
 	Dir string
 	// Every checkpoints after every Every-th tile. Zero disables.
 	Every int64
-	// Restore makes Run2D resume from the latest snapshot boundary all
+	// Restore makes the run resume from the latest snapshot boundary all
 	// ranks reached, falling back to a fresh start when there is none.
 	Restore bool
 }
@@ -169,23 +167,28 @@ func LatestCheckpoint(dir string, rank int) (nextTile int64, path string, err er
 	return t, CheckpointFile(dir, rank, t), nil
 }
 
+// geometry lists the words that identify a snapshot's run shape and the
+// rank's block in it.
+func (g grid) geometry(rank, commSize int, sp []span) []int64 {
+	w := []int64{int64(rank), int64(commSize), int64(g.tiled), g.n, g.tile, g.corner}
+	for d, a := range g.outer {
+		w = append(w, int64(a.dim), a.n, sp[d].base, sp[d].width)
+	}
+	return w
+}
+
 // writeCheckpoint snapshots l atomically (temp file + rename).
-func writeCheckpoint(dir string, commSize int, cfg Config2D, l *Local2D, nextTile int64) (int64, error) {
-	payloadLen := int64(8 * len(l.Data))
-	buf := make([]byte, ckHdrLen+payloadLen)
-	copy(buf[0:4], ckMagic)
-	binary.BigEndian.PutUint32(buf[4:8], ckVersion)
-	binary.BigEndian.PutUint32(buf[12:16], uint32(int32(l.Rank)))
-	binary.BigEndian.PutUint32(buf[16:20], uint32(int32(commSize)))
-	binary.BigEndian.PutUint64(buf[20:28], uint64(cfg.I1))
-	binary.BigEndian.PutUint64(buf[28:36], uint64(cfg.I2))
-	binary.BigEndian.PutUint64(buf[36:44], uint64(cfg.S1))
-	binary.BigEndian.PutUint64(buf[44:52], uint64(l.Base2))
-	binary.BigEndian.PutUint64(buf[52:60], uint64(l.Width))
-	binary.BigEndian.PutUint64(buf[60:68], uint64(nextTile))
-	binary.BigEndian.PutUint64(buf[68:76], uint64(payloadLen))
-	for i, v := range l.Data {
-		putF64(buf[ckHdrLen+8*i:], v)
+func writeCheckpoint(dir string, commSize int, g grid, l *Local, nextTile int64) (int64, error) {
+	geo := g.geometry(l.Rank, commSize, l.sp)
+	buf := make([]byte, 0, 32+8*len(geo)+8*len(l.Data))
+	buf = binary.BigEndian.AppendUint32(append(buf, ckMagic...), ckVersion)
+	buf = append(buf, 0, 0, 0, 0) // CRC, filled in last
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(geo)))
+	for _, w := range append(geo, nextTile, int64(8*len(l.Data))) {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(w))
+	}
+	for _, v := range l.Data {
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
 	}
 	binary.BigEndian.PutUint32(buf[8:12], crc32.ChecksumIEEE(buf[12:]))
 
@@ -195,27 +198,23 @@ func writeCheckpoint(dir string, commSize int, cfg Config2D, l *Local2D, nextTil
 	if err != nil {
 		return 0, fmt.Errorf("runner: checkpoint create: %w", err)
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("runner: checkpoint write: %w", err)
-	}
 	// The snapshot is a crash artifact by definition: its durability must
 	// not depend on the crash timing, so the data is synced before the
 	// rename and the directory after — otherwise a power cut could leave a
 	// valid-looking name pointing at unwritten blocks.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("runner: checkpoint sync: %w", err)
+	_, err = f.Write(buf)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("runner: checkpoint close: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return 0, fmt.Errorf("runner: checkpoint rename: %w", err)
+		return 0, fmt.Errorf("runner: checkpoint: %w", err)
 	}
 	if err := syncDir(dir); err != nil {
 		return 0, fmt.Errorf("runner: checkpoint dir sync: %w", err)
@@ -260,46 +259,40 @@ func removeOrphanTemps(dir string, rank int) {
 
 // loadCheckpoint validates the snapshot at path against the run's geometry
 // and fills l.Data from it, returning the stored next-tile index.
-func loadCheckpoint(path string, commSize int, cfg Config2D, l *Local2D) (int64, error) {
+func loadCheckpoint(path string, commSize int, g grid, l *Local) (int64, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	if len(buf) < ckHdrLen {
+	if len(buf) < 16 {
 		return 0, fmt.Errorf("runner: checkpoint %s: truncated header (%d bytes)", path, len(buf))
 	}
-	if string(buf[0:4]) != ckMagic {
-		return 0, fmt.Errorf("runner: checkpoint %s: bad magic %q", path, buf[0:4])
-	}
-	if v := binary.BigEndian.Uint32(buf[4:8]); v != ckVersion {
-		return 0, fmt.Errorf("runner: checkpoint %s: unsupported version %d", path, v)
+	if v := binary.BigEndian.Uint32(buf[4:8]); string(buf[0:4]) != ckMagic || v != ckVersion {
+		return 0, fmt.Errorf("runner: checkpoint %s: magic %q version %d, want %q version %d", path, buf[0:4], v, ckMagic, ckVersion)
 	}
 	if got, want := crc32.ChecksumIEEE(buf[12:]), binary.BigEndian.Uint32(buf[8:12]); got != want {
 		return 0, fmt.Errorf("runner: checkpoint %s: CRC mismatch (file %08x, computed %08x)", path, want, got)
 	}
-	rank := int(int32(binary.BigEndian.Uint32(buf[12:16])))
-	size := int(int32(binary.BigEndian.Uint32(buf[16:20])))
-	i1 := int64(binary.BigEndian.Uint64(buf[20:28]))
-	i2 := int64(binary.BigEndian.Uint64(buf[28:36]))
-	s1 := int64(binary.BigEndian.Uint64(buf[36:44]))
-	base2 := int64(binary.BigEndian.Uint64(buf[44:52]))
-	width := int64(binary.BigEndian.Uint64(buf[52:60]))
-	nextTile := int64(binary.BigEndian.Uint64(buf[60:68]))
-	payloadLen := int64(binary.BigEndian.Uint64(buf[68:76]))
-	if rank != l.Rank || size != commSize ||
-		i1 != cfg.I1 || i2 != cfg.I2 || s1 != cfg.S1 ||
-		base2 != l.Base2 || width != l.Width {
-		return 0, fmt.Errorf("runner: checkpoint %s: geometry mismatch (rank %d/%d size %d space %dx%d s1 %d strip %d+%d)",
-			path, rank, l.Rank, size, i1, i2, s1, base2, width)
+	geo := g.geometry(l.Rank, commSize, l.sp)
+	hdr := 32 + 8*len(geo)
+	if binary.BigEndian.Uint32(buf[12:16]) != uint32(len(geo)) || len(buf) < hdr {
+		return 0, fmt.Errorf("runner: checkpoint %s: geometry mismatch (%d words)", path, binary.BigEndian.Uint32(buf[12:16]))
 	}
-	if nextTile <= 0 || nextTile > cfg.tiles1() {
+	word := func(i int) int64 { return int64(binary.BigEndian.Uint64(buf[16+8*i:])) }
+	for i, w := range geo {
+		if word(i) != w {
+			return 0, fmt.Errorf("runner: checkpoint %s: geometry word %d is %d, want %d", path, i, word(i), w)
+		}
+	}
+	nextTile, payloadLen := word(len(geo)), word(len(geo)+1)
+	if nextTile <= 0 || nextTile > g.tiles() {
 		return 0, fmt.Errorf("runner: checkpoint %s: next tile %d out of range", path, nextTile)
 	}
-	if payloadLen != int64(8*len(l.Data)) || int64(len(buf)) != ckHdrLen+payloadLen {
+	if payloadLen != int64(8*len(l.Data)) || int64(len(buf)) != int64(hdr)+payloadLen {
 		return 0, fmt.Errorf("runner: checkpoint %s: payload length %d, want %d", path, payloadLen, 8*len(l.Data))
 	}
 	for i := range l.Data {
-		l.Data[i] = getF64(buf[ckHdrLen+8*i:])
+		l.Data[i] = getF64(buf[hdr+8*i:])
 	}
 	return nextTile, nil
 }
@@ -309,13 +302,13 @@ func loadCheckpoint(path string, commSize int, cfg Config2D, l *Local2D) (int64,
 // reason for a zero answer. A corrupt generation is skipped in favor of an
 // older one; l is left holding the winning snapshot's data (or untouched
 // when there is none).
-func latestValid(dir string, commSize int, cfg Config2D, l *Local2D) (int64, RestoreReason) {
+func latestValid(dir string, commSize int, g grid, l *Local) (int64, RestoreReason) {
 	tiles, err := checkpointTiles(dir, l.Rank)
 	if err != nil || len(tiles) == 0 {
 		return 0, RestoreFreshNoSnapshot
 	}
 	for i := len(tiles) - 1; i >= 0; i-- {
-		t, err := loadCheckpoint(CheckpointFile(dir, l.Rank, tiles[i]), commSize, cfg, l)
+		t, err := loadCheckpoint(CheckpointFile(dir, l.Rank, tiles[i]), commSize, g, l)
 		if err == nil {
 			return t, RestoreResumed
 		}
@@ -323,15 +316,15 @@ func latestValid(dir string, commSize int, cfg Config2D, l *Local2D) (int64, Res
 	return 0, RestoreFreshAllCorrupt
 }
 
-// restore2D agrees on a global restart tile: every rank proposes its latest
+// restore agrees on a global restart tile: every rank proposes its latest
 // valid snapshot boundary and the minimum wins, so the frontier is one
 // every rank can actually resume from. A fresh start (no snapshot, all
 // generations corrupt, or a peer with nothing) is a typed outcome, not an
 // error; only divergence — an agreed generation this rank cannot load — is.
 // On return l holds the agreed snapshot's data (zeroed on a fresh start).
-func restore2D(c mp.Comm, cfg Config2D, l *Local2D) (RestoreInfo, error) {
+func restore(c mp.Comm, g grid, l *Local) (RestoreInfo, error) {
 	info := RestoreInfo{Requested: true}
-	mine, reason := latestValid(cfg.Checkpoint.Dir, c.Size(), cfg, l)
+	mine, reason := latestValid(g.ckpt.Dir, c.Size(), g, l)
 	agreed, err := mp.AllReduce(c, []float64{float64(mine)}, mp.OpMin)
 	if err != nil {
 		return info, err
@@ -358,7 +351,7 @@ func restore2D(c mp.Comm, cfg Config2D, l *Local2D) (RestoreInfo, error) {
 		return info, nil
 	}
 	// Roll back to the agreed (older) generation; it must load cleanly.
-	if _, err := loadCheckpoint(CheckpointFile(cfg.Checkpoint.Dir, l.Rank, start), c.Size(), cfg, l); err != nil {
+	if _, err := loadCheckpoint(CheckpointFile(g.ckpt.Dir, l.Rank, start), c.Size(), g, l); err != nil {
 		return info, fmt.Errorf("runner: rank %d cannot load agreed checkpoint at tile %d: %w", l.Rank, start, err)
 	}
 	return info, nil
@@ -366,12 +359,12 @@ func restore2D(c mp.Comm, cfg Config2D, l *Local2D) (RestoreInfo, error) {
 
 // maybeCheckpoint snapshots after tile t when t+1 lands on a configured
 // boundary (and the run is not already over).
-func (r *run2d) maybeCheckpoint(t int64) error {
-	cc := r.cfg.Checkpoint
-	if !cc.enabled() || (t+1)%cc.Every != 0 || t+1 >= r.cfg.tiles1() {
+func (r *run) maybeCheckpoint(t int64) error {
+	cc := r.ckpt
+	if !cc.enabled() || (t+1)%cc.Every != 0 || t+1 >= r.tiles() {
 		return nil
 	}
-	n, err := writeCheckpoint(cc.Dir, r.c.Size(), r.cfg, r.l, t+1)
+	n, err := writeCheckpoint(cc.Dir, r.c.Size(), r.grid, r.l, t+1)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,8 @@
 package runner
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -55,59 +57,87 @@ func checkpointAll2D(t *testing.T, n int, cfg Config2D) *stencil.Grid {
 	return grid
 }
 
-func TestCheckpointRestoreByteIdentical(t *testing.T) {
+// tiles2D is the number of tiles each rank of a 2-D run executes.
+func tiles2D(cfg Config2D) int64 { return cfg.layout(1).tiles() }
+
+// ckGrid is one grid the checkpoint tests cover on four ranks: the 2-D
+// strip, and the 3-D grid on a 2×2 processor grid, where rank 3 receives a
+// west and a north face every tile, so both are in flight at a restart
+// boundary.
+type ckGrid struct {
+	name string
+	tile int64 // default tile size
+	n    int64 // extent of the tiled axis
+	// run executes the grid in mode with the given tile size and
+	// checkpoint settings, returning rank 0's gathered grid and the stats.
+	run func(t *testing.T, mode Mode, tile int64, cc CheckpointConfig) (*stencil.Grid, []Stats)
+}
+
+const ckRanks = 4
+
+func ckGrids() []ckGrid {
+	return []ckGrid{
+		{"2d", 10, 60, func(t *testing.T, mode Mode, tile int64, cc CheckpointConfig) (*stencil.Grid, []Stats) {
+			cfg := base2D(mode)
+			cfg.S1, cfg.Checkpoint = tile, cc
+			return runAll2D(t, ckRanks, cfg)
+		}},
+		{"3d", 4, 32, func(t *testing.T, mode Mode, tile int64, cc CheckpointConfig) (*stencil.Grid, []Stats) {
+			cfg := baseConfig(mode)
+			cfg.V, cfg.Checkpoint = tile, cc
+			return runAll(t, cfg)
+		}},
+	}
+}
+
+// tiles is the number of tiles each rank executes at tile size tile.
+func (g ckGrid) tiles(tile int64) int64 { return (g.n + tile - 1) / tile }
+
+// eachGridMode runs fn as a subtest for both modes on every grid.
+func eachGridMode(t *testing.T, fn func(t *testing.T, g ckGrid, mode Mode)) {
 	for _, mode := range []Mode{Blocking, Overlapped} {
 		t.Run(mode.String(), func(t *testing.T) {
-			const n = 4
-			ref := checkpointAll2D(t, n, base2D(mode))
-
-			// A checkpointing run leaves snapshots behind...
-			dir := t.TempDir()
-			cfg := base2D(mode)
-			cfg.Checkpoint = CheckpointConfig{Dir: dir, Every: 2}
-			grid, stats := runAll2D(t, n, cfg)
-			gridsByteIdentical(t, grid, ref)
-			for rank, st := range stats {
-				if st.Checkpoints == 0 || st.CheckpointBytes == 0 {
-					t.Fatalf("rank %d wrote no checkpoints: %+v", rank, st)
-				}
-				if tile, _, err := LatestCheckpoint(dir, rank); err != nil || tile == 0 {
-					t.Fatalf("rank %d has no snapshot on disk (tile=%d err=%v)", rank, tile, err)
-				}
-			}
-
-			// ...and a restore run resumes from the newest boundary,
-			// recomputing only the tail, yet the result is bit-identical.
-			cfg.Checkpoint.Restore = true
-			restored, rstats := runAll2D(t, n, cfg)
-			gridsByteIdentical(t, restored, ref)
-			full := base2D(mode).tiles1()
-			for rank, st := range rstats {
-				if int64(st.Tiles) >= full {
-					t.Errorf("rank %d recomputed all %d tiles — restore did not resume", rank, st.Tiles)
-				}
+			for _, g := range ckGrids() {
+				t.Run(g.name, func(t *testing.T) { fn(t, g, mode) })
 			}
 		})
 	}
 }
 
-// TestCheckpointCorruptGenerationFallsBack: a bit-flipped newest snapshot
-// must be rejected by the CRC and restore must fall back to the previous
-// generation — still bit-identical.
-func TestCheckpointCorruptGenerationFallsBack(t *testing.T) {
-	const n = 4
-	ref := checkpointAll2D(t, n, base2D(Blocking))
-	dir := t.TempDir()
-	cfg := base2D(Blocking)
-	cfg.Checkpoint = CheckpointConfig{Dir: dir, Every: 2}
-	if grid, _ := runAll2D(t, n, cfg); grid == nil {
-		t.Fatal("no grid")
-	}
-	// Flip one payload byte in rank 1's newest snapshot.
-	tile, path, err := LatestCheckpoint(dir, 1)
-	if err != nil || tile == 0 {
-		t.Fatalf("no snapshot to corrupt: tile=%d err=%v", tile, err)
-	}
+func TestCheckpointRestoreByteIdentical(t *testing.T) {
+	eachGridMode(t, func(t *testing.T, g ckGrid, mode Mode) {
+		ref, _ := g.run(t, mode, g.tile, CheckpointConfig{})
+
+		// A checkpointing run leaves snapshots behind...
+		dir := t.TempDir()
+		cc := CheckpointConfig{Dir: dir, Every: 2}
+		grid, stats := g.run(t, mode, g.tile, cc)
+		gridsByteIdentical(t, grid, ref)
+		for rank, st := range stats {
+			if st.Checkpoints == 0 || st.CheckpointBytes == 0 {
+				t.Fatalf("rank %d wrote no checkpoints: %+v", rank, st)
+			}
+			if tile, _, err := LatestCheckpoint(dir, rank); err != nil || tile == 0 {
+				t.Fatalf("rank %d has no snapshot on disk (tile=%d err=%v)", rank, tile, err)
+			}
+		}
+
+		// ...and a restore run resumes from the newest boundary,
+		// recomputing only the tail, yet the result is bit-identical.
+		cc.Restore = true
+		restored, rstats := g.run(t, mode, g.tile, cc)
+		gridsByteIdentical(t, restored, ref)
+		for rank, st := range rstats {
+			if int64(st.Tiles) >= g.tiles(g.tile) {
+				t.Errorf("rank %d recomputed all %d tiles — restore did not resume", rank, st.Tiles)
+			}
+		}
+	})
+}
+
+// flipLastByte corrupts a snapshot's payload so only the CRC can tell.
+func flipLastByte(t *testing.T, path string) {
+	t.Helper()
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -116,16 +146,36 @@ func TestCheckpointCorruptGenerationFallsBack(t *testing.T) {
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	cfg.Checkpoint.Restore = true
-	restored, stats := runAll2D(t, n, cfg)
-	gridsByteIdentical(t, restored, ref)
-	// Every rank resumed from the boundary before the corrupt one.
-	for rank, st := range stats {
-		if want := base2D(Blocking).tiles1() - (tile - cfg.Checkpoint.Every); int64(st.Tiles) != want {
-			t.Errorf("rank %d recomputed %d tiles, want %d (fallback generation)", rank, st.Tiles, want)
+// TestCheckpointCorruptGenerationFallsBack: a bit-flipped newest snapshot
+// must be rejected by the CRC and restore must fall back to the previous
+// generation — still bit-identical.
+func TestCheckpointCorruptGenerationFallsBack(t *testing.T) {
+	eachGridMode(t, func(t *testing.T, g ckGrid, mode Mode) {
+		ref, _ := g.run(t, mode, g.tile, CheckpointConfig{})
+		dir := t.TempDir()
+		cc := CheckpointConfig{Dir: dir, Every: 2}
+		if grid, _ := g.run(t, mode, g.tile, cc); grid == nil {
+			t.Fatal("no grid")
 		}
-	}
+		// Flip one payload byte in rank 1's newest snapshot.
+		tile, path, err := LatestCheckpoint(dir, 1)
+		if err != nil || tile == 0 {
+			t.Fatalf("no snapshot to corrupt: tile=%d err=%v", tile, err)
+		}
+		flipLastByte(t, path)
+
+		cc.Restore = true
+		restored, stats := g.run(t, mode, g.tile, cc)
+		gridsByteIdentical(t, restored, ref)
+		// Every rank resumed from the boundary before the corrupt one.
+		for rank, st := range stats {
+			if want := g.tiles(g.tile) - (tile - cc.Every); int64(st.Tiles) != want {
+				t.Errorf("rank %d recomputed %d tiles, want %d (fallback generation)", rank, st.Tiles, want)
+			}
+		}
+	})
 }
 
 // TestCheckpointAllCorruptMeansFreshStart: when one rank has nothing valid
@@ -153,7 +203,7 @@ func TestCheckpointAllCorruptMeansFreshStart(t *testing.T) {
 	cfg.Checkpoint.Restore = true
 	restored, stats := runAll2D(t, n, cfg)
 	gridsByteIdentical(t, restored, ref)
-	full := base2D(Overlapped).tiles1()
+	full := tiles2D(base2D(Overlapped))
 	for rank, st := range stats {
 		if int64(st.Tiles) != full {
 			t.Errorf("rank %d computed %d tiles, want full %d (fresh start)", rank, st.Tiles, full)
@@ -162,25 +212,56 @@ func TestCheckpointAllCorruptMeansFreshStart(t *testing.T) {
 }
 
 // TestCheckpointGeometryMismatchRejected: a snapshot from a different run
-// shape must not load.
+// shape must not load, and neither must one labelled with the 2-D-only
+// version 1 of the file layout.
 func TestCheckpointGeometryMismatchRejected(t *testing.T) {
-	dir := t.TempDir()
-	cfg := base2D(Blocking)
-	cfg.Checkpoint = CheckpointConfig{Dir: dir, Every: 2}
-	if grid, _ := runAll2D(t, 2, cfg); grid == nil {
-		t.Fatal("no grid")
-	}
-	other := cfg
-	other.S1 = 5 // different tiling: snapshots are incompatible
-	other.Checkpoint.Restore = true
-	restored, stats := runAll2D(t, 2, other)
-	want, _ := runAll2D(t, 2, func() Config2D { c := base2D(Blocking); c.S1 = 5; return c }())
-	gridsByteIdentical(t, restored, want)
-	for rank, st := range stats {
-		if int64(st.Tiles) != other.tiles1() {
-			t.Errorf("rank %d resumed from an incompatible snapshot (%d tiles)", rank, st.Tiles)
+	eachGridMode(t, func(t *testing.T, g ckGrid, mode Mode) {
+		dir := t.TempDir()
+		cc := CheckpointConfig{Dir: dir, Every: 2}
+		if grid, _ := g.run(t, mode, g.tile, cc); grid == nil {
+			t.Fatal("no grid")
 		}
-	}
+		const other = 5 // different tiling: snapshots are incompatible
+		want, _ := g.run(t, mode, other, CheckpointConfig{})
+		cc.Restore = true
+		restored, stats := g.run(t, mode, other, cc)
+		gridsByteIdentical(t, restored, want)
+		for rank, st := range stats {
+			if int64(st.Tiles) != g.tiles(other) {
+				t.Errorf("rank %d resumed from an incompatible snapshot (%d tiles)", rank, st.Tiles)
+			}
+		}
+
+		// Relabel every matching snapshot as version 1 with a valid CRC:
+		// only the version check can refuse them, so the run starts fresh.
+		v1 := t.TempDir()
+		if grid, _ := g.run(t, mode, g.tile, CheckpointConfig{Dir: v1, Every: 2}); grid == nil {
+			t.Fatal("no grid")
+		}
+		paths, err := filepath.Glob(filepath.Join(v1, "ck-*.bin"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no snapshots to relabel (err=%v)", err)
+		}
+		for _, path := range paths {
+			buf, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.BigEndian.PutUint32(buf[4:8], 1)
+			binary.BigEndian.PutUint32(buf[8:12], crc32.ChecksumIEEE(buf[12:]))
+			if err := os.WriteFile(path, buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref, _ := g.run(t, mode, g.tile, CheckpointConfig{})
+		restored, stats = g.run(t, mode, g.tile, CheckpointConfig{Dir: v1, Restore: true})
+		gridsByteIdentical(t, restored, ref)
+		for rank, st := range stats {
+			if ri := st.Restore; ri.Reason != RestoreFreshAllCorrupt || int64(st.Tiles) != g.tiles(g.tile) {
+				t.Errorf("rank %d restored from version-1 snapshots: %+v after %d tiles", rank, ri, st.Tiles)
+			}
+		}
+	})
 }
 
 func TestCheckpointConfigValidate(t *testing.T) {
@@ -271,7 +352,7 @@ func TestCheckpointAllGenerationsCorruptTypedReason(t *testing.T) {
 	cfg.Checkpoint.Restore = true
 	restored, stats := runAll2D(t, n, cfg)
 	gridsByteIdentical(t, restored, ref)
-	full := base2D(Blocking).tiles1()
+	full := tiles2D(base2D(Blocking))
 	for rank, st := range stats {
 		if int64(st.Tiles) != full {
 			t.Errorf("rank %d computed %d tiles, want full %d (fresh start)", rank, st.Tiles, full)
@@ -288,11 +369,13 @@ func TestCheckpointAllGenerationsCorruptTypedReason(t *testing.T) {
 // a rank rolled back past a corrupt newest generation, and a peer-forced
 // fresh start.
 func TestCheckpointRestoreReasonsAndWaste(t *testing.T) {
-	const n = 4
+	eachGridMode(t, testRestoreReasonsAndWaste)
+}
+
+func testRestoreReasonsAndWaste(t *testing.T, g ckGrid, mode Mode) {
 	dir := t.TempDir()
-	cfg := base2D(Blocking)
-	cfg.Checkpoint = CheckpointConfig{Dir: dir, Every: 2}
-	if grid, _ := runAll2D(t, n, cfg); grid == nil {
+	cc := CheckpointConfig{Dir: dir, Every: 2}
+	if grid, _ := g.run(t, mode, g.tile, cc); grid == nil {
 		t.Fatal("no grid")
 	}
 	tile, path, err := LatestCheckpoint(dir, 1)
@@ -303,8 +386,8 @@ func TestCheckpointRestoreReasonsAndWaste(t *testing.T) {
 	// Clean resume: everyone restarts at the newest boundary, and the
 	// recomputation is exactly what the snapshots prove was already done —
 	// nothing, since every rank restarts at its own newest generation.
-	cfg.Checkpoint.Restore = true
-	_, stats := runAll2D(t, n, cfg)
+	cc.Restore = true
+	_, stats := g.run(t, mode, g.tile, cc)
 	for rank, st := range stats {
 		ri := st.Restore
 		if ri.Reason != RestoreResumed || ri.StartTile != tile || ri.WastedTiles != 0 {
@@ -314,24 +397,17 @@ func TestCheckpointRestoreReasonsAndWaste(t *testing.T) {
 
 	// Corrupt rank 1's newest generation: the world rolls back one
 	// boundary, so every OTHER rank provably recomputes Every tiles.
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)-1] ^= 0x40
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, stats = runAll2D(t, n, cfg)
+	flipLastByte(t, path)
+	_, stats = g.run(t, mode, g.tile, cc)
 	for rank, st := range stats {
 		ri := st.Restore
-		wantWaste := cfg.Checkpoint.Every
+		wantWaste := cc.Every
 		if rank == 1 {
 			wantWaste = 0 // its own newest valid IS the agreed boundary
 		}
-		if ri.Reason != RestoreResumed || ri.StartTile != tile-cfg.Checkpoint.Every || ri.WastedTiles != wantWaste {
+		if ri.Reason != RestoreResumed || ri.StartTile != tile-cc.Every || ri.WastedTiles != wantWaste {
 			t.Errorf("rank %d rollback info = %+v, want resumed at %d with %d wasted",
-				rank, ri, tile-cfg.Checkpoint.Every, wantWaste)
+				rank, ri, tile-cc.Every, wantWaste)
 		}
 	}
 
@@ -350,7 +426,7 @@ func TestCheckpointRestoreReasonsAndWaste(t *testing.T) {
 	}
 	// (The rollback run above re-checkpointed, so every surviving rank's
 	// newest valid generation is the full boundary `tile` again.)
-	_, stats = runAll2D(t, n, cfg)
+	_, stats = g.run(t, mode, g.tile, cc)
 	for rank, st := range stats {
 		ri := st.Restore
 		switch rank {

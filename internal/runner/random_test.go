@@ -96,7 +96,7 @@ func TestRandomConfigurations2D(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d (%dx%d S1=%d ranks=%d): %v", trial, i1, i2, s1, ranks, err)
 		}
-		diff, err := VerifySequential2D(grid, cfg)
+		diff, err := VerifySequential(grid, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

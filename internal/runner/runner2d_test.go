@@ -42,6 +42,12 @@ func runAll2D(t *testing.T, n int, cfg Config2D) (*stencil.Grid, []Stats) {
 	return grid, stats
 }
 
+// VerifySequential2D is the spelling oracle_test.go uses for
+// VerifySequential on a 2-D configuration.
+func VerifySequential2D(g *stencil.Grid, cfg Config2D) (float64, error) {
+	return VerifySequential(g, cfg)
+}
+
 func base2D(mode Mode) Config2D {
 	return Config2D{I1: 60, I2: 40, S1: 10, Kernel: stencil.Sum2D{}, Mode: mode}
 }
@@ -87,7 +93,7 @@ func TestRun2DValidate(t *testing.T) {
 func TestRun2DBlockingMatchesSequential(t *testing.T) {
 	cfg := base2D(Blocking)
 	grid, stats := runAll2D(t, 4, cfg)
-	diff, err := VerifySequential2D(grid, cfg)
+	diff, err := VerifySequential(grid, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +112,7 @@ func TestRun2DBlockingMatchesSequential(t *testing.T) {
 func TestRun2DOverlappedMatchesSequential(t *testing.T) {
 	cfg := base2D(Overlapped)
 	grid, _ := runAll2D(t, 4, cfg)
-	diff, err := VerifySequential2D(grid, cfg)
+	diff, err := VerifySequential(grid, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +139,7 @@ func TestRun2DPartialTilesAndStrips(t *testing.T) {
 	for _, mode := range []Mode{Blocking, Overlapped} {
 		cfg := Config2D{I1: 57, I2: 43, S1: 10, Kernel: stencil.Sum2D{}, Mode: mode}
 		grid, stats := runAll2D(t, 4, cfg)
-		diff, err := VerifySequential2D(grid, cfg)
+		diff, err := VerifySequential(grid, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +157,7 @@ func TestRun2DPartialTilesAndStrips(t *testing.T) {
 func TestRun2DSingleRank(t *testing.T) {
 	cfg := base2D(Overlapped)
 	grid, stats := runAll2D(t, 1, cfg)
-	diff, err := VerifySequential2D(grid, cfg)
+	diff, err := VerifySequential(grid, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +173,7 @@ func TestRun2DCustomBoundary(t *testing.T) {
 	cfg := base2D(Overlapped)
 	cfg.Boundary = stencil.ConstBoundary(2.5)
 	grid, _ := runAll2D(t, 4, cfg)
-	diff, err := VerifySequential2D(grid, cfg)
+	diff, err := VerifySequential(grid, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +192,7 @@ func TestRun2DNoDiagonalKernel(t *testing.T) {
 	}
 	cfg := Config2D{I1: 40, I2: 30, S1: 8, Kernel: w, Mode: Overlapped}
 	grid, _ := runAll2D(t, 3, cfg)
-	diff, err := VerifySequential2D(grid, cfg)
+	diff, err := VerifySequential(grid, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +207,7 @@ func TestRun2DExample1Shape(t *testing.T) {
 	for _, mode := range []Mode{Blocking, Overlapped} {
 		cfg := Config2D{I1: 400, I2: 100, S1: 10, Kernel: stencil.Sum2D{}, Mode: mode}
 		grid, stats := runAll2D(t, 10, cfg)
-		diff, err := VerifySequential2D(grid, cfg)
+		diff, err := VerifySequential(grid, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +228,7 @@ func TestRun2DS1EqualsI1(t *testing.T) {
 	// One tile per rank: the pipeline degenerates to a single wavefront.
 	cfg := Config2D{I1: 20, I2: 24, S1: 20, Kernel: stencil.Sum2D{}, Mode: Overlapped}
 	grid, stats := runAll2D(t, 4, cfg)
-	diff, err := VerifySequential2D(grid, cfg)
+	diff, err := VerifySequential(grid, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +266,7 @@ func TestRun2DUnderRendezvous(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v 2-D under rendezvous: %v", mode, err)
 		}
-		diff, err := VerifySequential2D(grid, cfg)
+		diff, err := VerifySequential(grid, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

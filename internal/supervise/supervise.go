@@ -16,6 +16,10 @@
 // deadline caps the whole supervised run — a persistently failing rank
 // converges to a clean typed failure (*BudgetError, *DeadlineError)
 // instead of a restart loop.
+//
+// Recovery restores from the snapshots of internal/runner's shared tile
+// loop, so it covers both grids that executor runs: the paper's 3-D
+// Section 5 grid and Example 1's 2-D strip.
 package supervise
 
 import (
