@@ -23,11 +23,11 @@ bench:
 	$(GO) test -bench '$(BENCH)' -benchmem -run '^$$' .
 
 # One iteration of the optimum benchmarks and the real executors: exercises
-# the tiered search, the exhaustive sweep, both tile-kernel schedules and the
-# sequential reference end to end (and keeps them compiling and running) in
-# about a second.
+# the tiered search, the exact branch-and-bound search, both tile-kernel
+# schedules and the sequential reference end to end (and keeps them compiling
+# and running) in about a second.
 bench-smoke:
-	$(GO) test -bench 'OptimumTiered$$|OptimumSweep$$|ScaleAllocBudget$$|RunnerBlocking$$|RunnerOverlapped$$|StencilSequential$$' -benchtime=1x -run '^$$' .
+	$(GO) test -bench 'OptimumTiered$$|OptimumExact$$|ScaleAllocBudget$$|RunnerBlocking$$|RunnerOverlapped$$|StencilSequential$$' -benchtime=1x -run '^$$' .
 
 # Degradation sweep at a fixed seed: exercises the whole fault-injection
 # path end to end and fails if degradation is not graceful or the

@@ -138,12 +138,14 @@ func benchOptimum(b *testing.B, exact bool) {
 
 // BenchmarkOptimumTiered runs the tiered search: analytic seed, a few
 // certified probes. Compare its time/op and des_evals/query against
-// BenchmarkOptimumSweep.
+// BenchmarkOptimumExact.
 func BenchmarkOptimumTiered(b *testing.B) { benchOptimum(b, false) }
 
-// BenchmarkOptimumSweep runs the same queries with the tiered path
-// disabled — the exhaustive full-ladder sweep, the pre-rework cost.
-func BenchmarkOptimumSweep(b *testing.B) { benchOptimum(b, true) }
+// BenchmarkOptimumExact runs the same queries with the tiered path
+// disabled — the exact tier alone, the branch-and-bound ladder search that
+// skips every rung whose busiest-CPU work already exceeds the best
+// makespan found.
+func BenchmarkOptimumExact(b *testing.B) { benchOptimum(b, true) }
 
 // BenchmarkScaleAllocBudget locks the simulator's allocation budget at
 // scale: one overlapped simulation on the scale-sweep's fat tree at 100

@@ -355,13 +355,17 @@ func TestClientTimeoutCounted(t *testing.T) {
 		s.shutdown(ctx)
 	}()
 
+	// The evaluation stays stalled until the disconnect has been counted:
+	// released earlier, it could finish before the server notices the
+	// closed connection, and the handler would rightly serve it.
+	defer close(release)
+
 	client := &http.Client{Timeout: 200 * time.Millisecond}
 	_, err := client.Post(fmt.Sprintf("http://%s/v1/plan", s.addr), "application/json",
 		strings.NewReader(reqJSON(64, "impatient")))
 	if err == nil {
 		t.Fatal("stalled request returned before its client timeout")
 	}
-	close(release)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for s.metrics.Tenant("impatient").Cancelled.Load() == 0 {

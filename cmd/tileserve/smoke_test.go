@@ -156,10 +156,12 @@ func TestServeSmoke(t *testing.T) {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	// Drain the child's output before Wait: Wait closes the stdout pipe,
+	// and a reader still running then can lose the child's last lines.
+	<-restDone
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("child did not exit cleanly after SIGTERM: %v", err)
 	}
-	<-restDone
 	if !strings.Contains(rest.String(), "drained") {
 		t.Errorf("drain messages missing from child output:\n%s", rest.String())
 	}

@@ -30,8 +30,8 @@ type Sweep struct {
 	// fills the OverlapEff/BlockingEff columns of the rows. Off by default:
 	// the pass costs an interval log per simulation.
 	Metrics bool
-	// Exact forces every Optimum query onto the exhaustive tier, skipping
-	// the analytic fast path (the CLIs expose it as -exact). The tiered
+	// Exact forces every Optimum query onto the exact (branch-and-bound)
+	// tier, skipping the analytic fast path (the CLIs expose it as -exact). The tiered
 	// search returns the same heights — the fallback guarantees it when
 	// certification fails — so this is an escape hatch for auditing, not a
 	// correctness knob.

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"runtime"
 	"sort"
 
 	"repro/internal/estimate"
@@ -17,8 +20,11 @@ import (
 //     a certification step either vouches for the answer or falls back to
 //     OptimumExact — so the result is always the exact ladder argmin,
 //     usually at a fraction of the DES evaluations.
-//   - OptimumExact: the exhaustive reference — every OptimumHeights rung
-//     simulated on the parallel worker pool, earliest minimum wins.
+//   - OptimumExact: the exact (branch-and-bound) search — OptimumHeights
+//     rungs simulated on the parallel worker pool from the largest height
+//     down, skipping every rung whose busiest-CPU work (sim.GridCPUBound)
+//     already exceeds the best makespan found; earliest minimum wins, so
+//     the answer is the full-ladder argmin.
 //   - OptimumRefined: Optimum plus the multiplicative refinement pass
 //     around the winning rung, the search the CLIs and figures print
 //     (finer-than-ladder granularity, same answers as before the rework).
@@ -50,7 +56,7 @@ func (s Sweep) OptimumHeights() []int64 {
 // Optimum finds the simulated-optimal tile height among OptimumHeights for
 // the given mode via the tiered search: identical to OptimumExact's
 // answer, but typically a handful of DES probes instead of a full ladder
-// sweep. Set Sweep.Exact to force the exhaustive tier.
+// sweep. Set Sweep.Exact to force the exact (branch-and-bound) tier.
 func (s Sweep) Optimum(mode sim.Mode) (vOpt int64, tOpt float64, err error) {
 	return s.OptimumCtx(context.Background(), mode)
 }
@@ -90,10 +96,10 @@ func (s Sweep) OptimumDetailCtx(ctx context.Context, mode sim.Mode) (estimate.Ou
 	return estimate.Optimum(ctx, cfg)
 }
 
-// OptimumExact is the exhaustive reference search: every OptimumHeights
-// rung simulated (on the parallel worker pool), earliest height of minimal
-// makespan wins — the same scan order and tie-break as RunSequential plus
-// an argmin.
+// OptimumExact is the exact (branch-and-bound) search over OptimumHeights:
+// it returns the earliest height of minimal makespan — the same answer as
+// RunSequential over every rung plus an argmin — but simulates only the
+// rungs its busiest-CPU lower bound cannot rule out (see optimumExact).
 func (s Sweep) OptimumExact(mode sim.Mode) (vOpt int64, tOpt float64, err error) {
 	return s.OptimumExactCtx(context.Background(), mode)
 }
@@ -103,13 +109,60 @@ func (s Sweep) OptimumExactCtx(ctx context.Context, mode sim.Mode) (vOpt int64, 
 	return s.optimumExact(ctx, s.cache(), mode, s.OptimumHeights())
 }
 
+// optimumExact is the exact ladder search behind every exact entry point
+// (the tiered fallback, Sweep.Exact and OptimumExact): a branch-and-bound
+// over sim.GridCPUBound. Rungs are visited from the largest height down —
+// the cheapest to simulate first — in rounds the width of the worker pool,
+// and a rung whose bound, less GridBoundSlack, already exceeds the best
+// makespan found is skipped unsimulated. Such a rung's makespan is strictly
+// above the incumbent, so it is neither the minimum nor tied with it, and
+// the earliest-minimum scan over the simulated rungs in ascending order
+// returns the full-ladder argmin bit for bit. Every simulated rung is
+// checked against its bound; a violation is an error, not a pruned answer.
 func (s Sweep) optimumExact(ctx context.Context, c *sim.Cache, mode sim.Mode, heights []int64) (int64, float64, error) {
-	rs, err := s.evalHeights(ctx, c, mode, heights)
-	if err != nil {
-		return 0, 0, err
+	bounds := make([]float64, len(heights))
+	for i, v := range heights {
+		bounds[i] = sim.GridCPUBound(s.Grid, v, s.Machine, mode, s.ModeCap(mode)) * (1 - sim.GridBoundSlack)
+	}
+	width := runtime.GOMAXPROCS(0)
+	incumbent := math.Inf(1)
+	rs := make([]sim.Result, len(heights))
+	simulated := make([]bool, len(heights))
+	for next := len(heights) - 1; next >= 0; {
+		var idx []int
+		var round []int64
+		for ; next >= 0 && len(round) < width; next-- {
+			if bounds[next] <= incumbent {
+				idx = append(idx, next)
+				round = append(round, heights[next])
+			}
+		}
+		if len(round) == 0 {
+			break
+		}
+		got, err := s.evalHeights(ctx, c, mode, round)
+		if err != nil {
+			return 0, 0, err
+		}
+		for j, i := range idx {
+			if bounds[i] > got[j].Makespan {
+				return 0, 0, fmt.Errorf("%s: V=%d %s: makespan %g below the busiest-CPU bound %g",
+					s.ID, heights[i], mode, got[j].Makespan, bounds[i])
+			}
+			rs[i], simulated[i] = got[j], true
+			incumbent = math.Min(incumbent, got[j].Makespan)
+		}
+	}
+	var kept []int64
+	var keptRs []sim.Result
+	for i, v := range heights {
+		if simulated[i] {
+			kept = append(kept, v)
+			keptRs = append(keptRs, rs[i])
+		}
 	}
 	best, bestT := int64(-1), 0.0
-	considerHeights(heights, rs, &best, &bestT)
+	considerHeights(kept, keptRs, &best, &bestT)
 	return best, bestT, nil
 }
 
@@ -118,7 +171,7 @@ func (s Sweep) optimumExact(ctx context.Context, c *sim.Cache, mode sim.Mode, he
 // the overall earliest minimum returned. This is the search the figures,
 // traces and examples print; on the paper's grids its answers are
 // unchanged from the pre-tiered implementation (the tiered ladder stage
-// picks the same rung the exhaustive ladder pass did). Refinement rungs
+// picks the same rung a full ladder pass does). Refinement rungs
 // that duplicate ladder rungs are skipped — they could never win the
 // strict-improvement comparison.
 func (s Sweep) OptimumRefined(mode sim.Mode) (vOpt int64, tOpt float64, err error) {

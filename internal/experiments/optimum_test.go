@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,11 +14,14 @@ import (
 )
 
 // TestTieredOptimumMatchesExactOnFigures is the acceptance gate of the
-// tiered-search rework: on the paper's Fig. 9-11 spaces (which also feed
-// Fig. 12) and for both schedules, the tiered Optimum must return the
-// bit-identical (V, t) the exhaustive search returns, while issuing at
-// least 4x fewer DES evaluations per query and at least 5x fewer in
-// aggregate — measured with the sim.Cache counters.
+// tiered and exact searches on the paper's Fig. 9-11 spaces (which also
+// feed Fig. 12), for both schedules. The reference is the unpruned
+// full-ladder argmin: every OptimumHeights rung simulated, earliest minimum
+// wins. The tiered Optimum and the branch-and-bound OptimumExact must both
+// return its bit-identical (V, t), and the tiered search must issue at
+// least 4x fewer DES evaluations per query and 5x fewer in aggregate than
+// the full ladder costs on a fresh cache — measured with the sim.Cache
+// counters.
 func TestTieredOptimumMatchesExactOnFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale figure spaces")
@@ -25,7 +29,7 @@ func TestTieredOptimumMatchesExactOnFigures(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("full-scale DES is prohibitively slow under the race detector; the randomized property test covers the tiered path there")
 	}
-	type counts struct{ tiered, exact uint64 }
+	type counts struct{ tiered, bnb, ladder uint64 }
 	var mu sync.Mutex // subtests run in parallel
 	results := make(map[string]counts)
 	var queries []string
@@ -39,6 +43,9 @@ func TestTieredOptimumMatchesExactOnFigures(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				s := fig
+				wantV, wantT := fullLadderArgmin(t, s, mode)
+				ladder := uint64(len(s.OptimumHeights()))
+
 				s.Cache = sim.NewCache()
 				out, err := s.OptimumDetail(mode)
 				if err != nil {
@@ -48,22 +55,29 @@ func TestTieredOptimumMatchesExactOnFigures(t *testing.T) {
 				if out.Tier != estimate.TierCertified {
 					t.Errorf("paper grid not certified: %+v", out)
 				}
+				if out.V != wantV || out.T != wantT {
+					t.Errorf("tiered (V=%d t=%v) != full-ladder argmin (V=%d t=%v)", out.V, out.T, wantV, wantT)
+				}
 
 				s.Cache = sim.NewCache()
 				vEx, tEx, err := s.OptimumExact(mode)
 				if err != nil {
 					t.Fatal(err)
 				}
-				exact := s.Cache.Stats().Evals
-
-				if out.V != vEx || out.T != tEx {
-					t.Errorf("tiered (V=%d t=%v) != exact (V=%d t=%v)", out.V, out.T, vEx, tEx)
+				bnb := s.Cache.Stats().Evals
+				if vEx != wantV || tEx != wantT {
+					t.Errorf("exact (V=%d t=%v) != full-ladder argmin (V=%d t=%v)", vEx, tEx, wantV, wantT)
 				}
-				if tiered*4 > exact {
-					t.Errorf("per-query savings too small: %d tiered vs %d exact evals", tiered, exact)
+
+				t.Logf("DES evaluations: tiered %d, branch-and-bound exact %d, full ladder %d", tiered, bnb, ladder)
+				if tiered*4 > ladder {
+					t.Errorf("per-query savings too small: %d tiered evals vs a %d-rung ladder", tiered, ladder)
+				}
+				if bnb >= ladder {
+					t.Errorf("branch-and-bound pruned nothing: %d evals on a %d-rung ladder", bnb, ladder)
 				}
 				mu.Lock()
-				results[name] = counts{tiered, exact}
+				results[name] = counts{tiered, bnb, ladder}
 				mu.Unlock()
 			})
 		}
@@ -72,43 +86,67 @@ func TestTieredOptimumMatchesExactOnFigures(t *testing.T) {
 	t.Cleanup(func() {
 		mu.Lock()
 		defer mu.Unlock()
-		var tiered, exact uint64
+		var tiered, bnb, ladder uint64
 		for _, name := range queries {
 			c := results[name]
-			if c.exact == 0 {
+			if c.ladder == 0 {
 				return // a subtest failed before recording; it already reported
 			}
 			tiered += c.tiered
-			exact += c.exact
+			bnb += c.bnb
+			ladder += c.ladder
 		}
-		if tiered*5 > exact {
-			t.Errorf("aggregate savings below 5x: %d tiered vs %d exact DES evaluations", tiered, exact)
+		if tiered*5 > ladder {
+			t.Errorf("aggregate savings below 5x: %d tiered DES evaluations vs %d ladder rungs", tiered, ladder)
 		}
-		t.Logf("DES evaluations across %d queries: tiered %d, exact %d (%.1fx)",
-			len(queries), tiered, exact, float64(exact)/float64(tiered))
+		t.Logf("DES evaluations across %d queries: tiered %d, branch-and-bound exact %d, full ladder %d (%.1fx over tiered)",
+			len(queries), tiered, bnb, ladder, float64(ladder)/float64(tiered))
 	})
 }
 
+// fullLadderArgmin is the unpruned reference optimum: every OptimumHeights
+// rung simulated on a fresh cache, the earliest height of minimal makespan
+// wins.
+func fullLadderArgmin(t *testing.T, s Sweep, mode sim.Mode) (int64, float64) {
+	t.Helper()
+	heights := s.OptimumHeights()
+	rs, err := s.evalHeights(context.Background(), sim.NewCache(), mode, heights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, bestT := int64(-1), 0.0
+	for i, r := range rs {
+		if best < 0 || r.Makespan < bestT {
+			best, bestT = heights[i], r.Makespan
+		}
+	}
+	return best, bestT
+}
+
 // TestOptimumMatchesSequentialArgminRandomized is the seeded property
-// test: across randomized Grid3D/Machine configurations and both modes,
-// the tiered Optimum must return exactly the answer obtained by running
-// the sequential reference sweep over the same candidate heights and
-// taking the earliest argmin. On configurations far from the calibrated
-// regime the certification tolerances reject the fast path and the exact
-// fallback answers — either way the identity must hold bit-for-bit.
+// test: across randomized Grid3D/Machine configurations — every processor
+// grid from 1×1 to 4×4, K off the powers of two half the time, all three
+// capabilities — and both modes, the tiered Optimum and the
+// branch-and-bound OptimumExact must each return exactly the answer
+// obtained by running the sequential reference sweep over every candidate
+// height and taking the earliest argmin. On configurations far from the
+// calibrated regime the certification tolerances reject the fast path and
+// the exact fallback answers — either way the identity must hold
+// bit-for-bit.
 func TestOptimumMatchesSequentialArgminRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	const trials = 10
-	dims := []int64{8, 16, 32}
-	for trial := 0; trial < trials; trial++ {
+	tiles := []int64{2, 4, 8}
+	caps := []sim.Capability{sim.CapNone, sim.CapDMA, sim.CapFullDuplex}
+	for trial := 0; trial < 16; trial++ {
+		pi, pj := 1+int64(trial/4), 1+int64(trial%4)
 		g := model.Grid3D{
-			I:  dims[rng.Intn(len(dims))],
-			J:  dims[rng.Intn(len(dims))],
-			K:  256 << rng.Intn(3),
-			PI: 4, PJ: 4,
+			I:  pi * tiles[rng.Intn(len(tiles))],
+			J:  pj * tiles[rng.Intn(len(tiles))],
+			K:  (256 << rng.Intn(3)) + rng.Int63n(2)*rng.Int63n(256),
+			PI: pi, PJ: pj,
 		}
 		m := model.PentiumCluster()
-		scale := func(x float64) float64 { return x * math.Exp(2.2*rng.Float64()-1.1) }
+		scale := func(x float64) float64 { return x * math.Exp(4*rng.Float64()-2) }
 		m.Tc = scale(m.Tc)
 		m.Ts = scale(m.Ts)
 		m.Tt = scale(m.Tt)
@@ -119,7 +157,7 @@ func TestOptimumMatchesSequentialArgminRandomized(t *testing.T) {
 		s := Sweep{
 			ID: fmt.Sprintf("prop%d", trial), Title: "property",
 			Grid: g, Heights: Ladder(4, g.K/4),
-			Machine: m, Cap: sim.CapDMA,
+			Machine: m, Cap: caps[rng.Intn(len(caps))],
 			Cache: sim.NewCache(),
 		}
 		ref := s
@@ -145,8 +183,18 @@ func TestOptimumMatchesSequentialArgminRandomized(t *testing.T) {
 				t.Fatalf("trial %d %s: %v", trial, mode, err)
 			}
 			if out.V != wantV || out.T != wantT {
-				t.Errorf("trial %d %s (grid %+v): tiered V=%d t=%v != reference V=%d t=%v (outcome %+v)",
-					trial, mode, g, out.V, out.T, wantV, wantT, out)
+				t.Errorf("trial %d %s (grid %+v, %s): tiered V=%d t=%v != reference V=%d t=%v (outcome %+v)",
+					trial, mode, g, s.Cap, out.V, out.T, wantV, wantT, out)
+			}
+			exact := s
+			exact.Cache = sim.NewCache()
+			vEx, tEx, err := exact.OptimumExact(mode)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, mode, err)
+			}
+			if vEx != wantV || tEx != wantT {
+				t.Errorf("trial %d %s (grid %+v, %s): exact V=%d t=%v != reference V=%d t=%v",
+					trial, mode, g, s.Cap, vEx, tEx, wantV, wantT)
 			}
 		}
 	}

@@ -52,8 +52,8 @@ type PlanRequest struct {
 	Machine string `json:"machine,omitempty"`
 	// Mode selects the schedule: "overlapped" (default) or "blocking".
 	Mode string `json:"mode,omitempty"`
-	// Exact forces the exhaustive tier, skipping the analytic fast path —
-	// the audit escape hatch, same as `tileplan -optimum -exact`.
+	// Exact forces the exact (branch-and-bound) tier, skipping the analytic
+	// fast path — the audit escape hatch, same as `tileplan -optimum -exact`.
 	Exact bool `json:"exact,omitempty"`
 	// Tenant is an advisory label for per-tenant accounting; it never
 	// changes the answer. Restricted to [A-Za-z0-9._-].

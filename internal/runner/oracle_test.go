@@ -112,7 +112,7 @@ func TestPropExecutor2DMatchesOracle(t *testing.T) {
 				what := fmt.Sprintf("trial %d: %s %v on %dx%d S1=%d ranks=%d deps %v",
 					trial, kern.Name(), mode, i1, i2, s1, ranks, kern.Deps())
 				grid, _ := runAll2D(t, ranks, cfg)
-				diff, err := VerifySequential2D(grid, cfg)
+				diff, err := VerifySequential(grid, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

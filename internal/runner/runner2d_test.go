@@ -42,12 +42,6 @@ func runAll2D(t *testing.T, n int, cfg Config2D) (*stencil.Grid, []Stats) {
 	return grid, stats
 }
 
-// VerifySequential2D is the spelling oracle_test.go uses for
-// VerifySequential on a 2-D configuration.
-func VerifySequential2D(g *stencil.Grid, cfg Config2D) (float64, error) {
-	return VerifySequential(g, cfg)
-}
-
 func base2D(mode Mode) Config2D {
 	return Config2D{I1: 60, I2: 40, S1: 10, Kernel: stencil.Sum2D{}, Mode: mode}
 }

@@ -129,3 +129,41 @@ func SimulateGridWith(c model.Grid3D, v int64, m model.Machine, mode Mode, cap C
 	cfg.Trace = o.Trace
 	return Simulate(cfg)
 }
+
+// GridBoundSlack is the relative tolerance under which GridCPUBound is
+// compared against a simulated makespan. The engine adds a processor's
+// activity durations one float64 at a time while the bound is a closed
+// form, so the two differ by at most N·2⁻⁵³ relative for N activities —
+// about 1e-8 at 1e8 activities, two orders below this slack.
+const GridBoundSlack = 1e-6
+
+// GridCPUBound returns the CPU work of the busiest processor of the
+// fault-free grid point (c, v, m, mode, cap): a lower bound on its makespan,
+// because both schedule builders chain every CPU activity of a processor
+// into one program order. The busiest processor has the most neighbours in
+// both processor dimensions: it computes TileI·TileJ·K points and, per face
+// direction of extent P, handles min(P−1, 2) message ends (a receive from
+// below, a send above) for every k-tile, the partial last tile included.
+// Each end costs FillMPI+FillKernel on the CPU in blocking mode or without
+// DMA, and FillMPI alone when the overlapped schedule hands the kernel
+// copies to the communication engines. Invalid inputs yield 0, which
+// bounds nothing.
+func GridCPUBound(c model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability) float64 {
+	if c.Validate() != nil || v <= 0 || v > c.K {
+		return 0
+	}
+	ti, tj := c.TileI(), c.TileJ()
+	kt := c.KTiles(v)
+	end := func(bytes int64) float64 {
+		if mode == Blocking || cap == CapNone {
+			return m.FillMPI(bytes) + m.FillKernel(bytes)
+		}
+		return m.FillMPI(bytes)
+	}
+	// faces of one k-tile of height h, over both face directions
+	faces := func(h int64) float64 {
+		return float64(min(c.PI-1, 2))*end(tj*h*m.BytesPerElem) +
+			float64(min(c.PJ-1, 2))*end(ti*h*m.BytesPerElem)
+	}
+	return float64(ti*tj*c.K)*m.Tc + float64(kt-1)*faces(v) + faces(c.K-v*(kt-1))
+}
